@@ -417,12 +417,10 @@ let cmd =
             Format.eprintf "--sample-pdus must be non-negative@.";
             Stdlib.exit 2
           end;
-          if sample_n > 0 then begin
+          (* with sampling on, pcap no longer pins the per-cell path —
+             sampled PDUs alone feed the capture *)
+          if sample_n > 0 then
             Engine.Sample.configure ~n:sample_n ~seed:sample_seed;
-            (* with sampling on, pcap no longer needs every PDU on the
-               per-cell path — sampled PDUs alone feed the capture *)
-            Engine.Pcapng.set_granularity Engine.Granularity.Per_train
-          end;
           if profile <> None || report <> None then Engine.Profile.start ();
           if selfprof <> None || report <> None then Engine.Selfprof.start ();
           if timeseries <> None || report <> None then

@@ -144,10 +144,10 @@ let count t fl ~hop ~cells =
   | _ -> ());
   if hop = 0 then Topk.offer t.topk fl (cells * Cell.payload_size)
 
-let drop _t fl ~hop =
+let drop ?(cells = 1) _t fl ~hop =
   match fl.fl_exact with
   | Some hops when hop < Array.length hops ->
-      Metrics.Counter.inc hops.(hop).hs_drops
+      Metrics.Counter.add hops.(hop).hs_drops cells
   | _ -> ()
 
 let find t ~src ~vci = Hashtbl.find_opt t.by_key (src, vci)

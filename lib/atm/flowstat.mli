@@ -67,9 +67,10 @@ val count : t -> flow -> hop:int -> cells:int -> unit
 (** [cells] cells (48 payload bytes each) forwarded by stage [hop];
     negative to un-count a truncated train's cut suffix. *)
 
-val drop : t -> flow -> hop:int -> unit
-(** One cell lost entering stage [hop] (switch queue/fault drop, or the
-    host FIFO refusing the cell bound for stage 0). *)
+val drop : ?cells:int -> t -> flow -> hop:int -> unit
+(** [cells] (default 1) cells lost entering stage [hop] (switch
+    queue/fault drop, or the host FIFO refusing the cell bound for stage
+    0); negative to un-count a truncated train's cut refusals. *)
 
 val note_retx : t -> src:int -> vci:int -> unit
 (** One PDU retransmitted on the flow sending from [src] on uplink

@@ -409,6 +409,13 @@ let plan_feed t ~arrivals ~sched_lead ~refuse_occ =
 let plan_starts pl = pl.pl_starts
 let plan_accepts pl = pl.pl_accepts
 let plan_queue_after pl = pl.pl_qafter
+let plan_drops pl = pl.pl_drops
+
+(* A chain only retries the cell it is trying to place, so the refused
+   attempt at [d] was for the cell whose acceptance is the first after
+   [d]: the number of cells accepted before it. *)
+let plan_drop_cells pl =
+  Array.map (count_le pl.pl_accepts (Array.length pl.pl_accepts)) pl.pl_drops
 
 let commit_plan t pl ~fold_sent =
   let n = Array.length pl.pl_accepts in

@@ -121,6 +121,14 @@ val plan_queue_after : plan -> float array
     {!queue_length} right after a successful {!send} would see (the
     switch's port high-water sample). *)
 
+val plan_drops : plan -> Engine.Sim.time array
+(** Instants of a chain's refused send attempts (queue full), ascending;
+    empty for arrival-fed plans, which refuse instead of dropping. *)
+
+val plan_drop_cells : plan -> int array
+(** For each of {!plan_drops}, the index of the cell whose attempt was
+    refused. *)
+
 val commit_plan : t -> plan -> fold_sent:bool -> hop
 (** Install a plan. With [fold_sent], delivered-cell accounting folds
     analytically (trains); without, the caller keeps real delivery events

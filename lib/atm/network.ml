@@ -139,6 +139,55 @@ and partial = {
   mutable pa_hops : Pathrec.hop list; (* most-recent-first *)
 }
 
+(* One stage of a planned multi-hop journey: the switch that forwards the
+   train at [st_arrivals] and the plan on its output link. *)
+type stage = {
+  st_sw : int;
+  st_in_port : int;
+  st_out_port : int;
+  st_out_vci : int;
+  st_link : Link.t;
+  st_cell : Sim.time; (* the output link's cell time *)
+  st_terminal : bool; (* the output link is the destination's downlink *)
+  st_transit : Sim.time;
+  st_arrivals : Sim.time array;
+  st_plan : Link.plan;
+  st_starts : Sim.time array;
+  st_queue_after : float array;
+}
+
+(* What a committed train implies per cell, captured once every stage has
+   committed (DESIGN.md §14/§17) and read by the train-granular observers
+   — flow accounting, path records, spans, trace. The EOP indices and
+   contexts are taken now: truncation listeners run after the train's live
+   prefix has shrunk, when cut cells are no longer reachable. *)
+type commit = {
+  c_host : int;
+  c_vci : int; (* uplink VCI *)
+  c_n : int;
+  c_up_cell : Sim.time;
+  c_up_accepts : Sim.time array;
+  c_up_starts : Sim.time array;
+  c_drops : Sim.time array; (* the uplink's refused attempts, ascending *)
+  c_drop_cells : int array; (* the cell each refused attempt was for *)
+  c_stages : stage array; (* in route order; the last is terminal *)
+  c_eops : int array; (* EOP cell indices, ascending *)
+  c_eop_ctxs : Span.ctx option array;
+  c_deliveries : Sim.time array; (* per-cell arrival at the receiving NI *)
+}
+
+(* An observer's share of a truncation: the train was cut back to [keep]
+   cells at [now], and the suffix re-runs per-cell, re-observed for real. *)
+type undo = keep:int -> now:Sim.time -> unit
+
+(* A train-aware NI's receive side (see [attach_rx_train]). *)
+type rx_train = {
+  rt_server : Sync.Server.t;
+  rt_cost : Sim.time;
+  rt_ready : unit -> bool;
+  rt_body : Cell.t -> unit;
+}
+
 type t = {
   sim : Sim.t;
   hosts : int;
@@ -150,9 +199,7 @@ type t = {
   host_attach : (int * int) array; (* host -> (switch, port) *)
   dests : dest option array array; (* switch -> out port -> destination *)
   rx_handlers : (Cell.t -> unit) option array;
-  rx_train_handlers :
-    (Cell.train -> rx_vci:int -> deliveries:Sim.time array -> unit) option
-    array;
+  rx_trains : rx_train option array;
   (* VCI allocation, per link direction. VCIs below 32 are reserved as on a
      real ATM fabric; the 16-bit cell-header field bounds them above
      (allocators raise at the ceiling instead of silently aliasing). *)
@@ -259,6 +306,41 @@ let observe_cell t si (ob : Switch.observed) =
              delivered, so retire its partial record *)
           tr.ft_partials <- remove_expecting ~hop tr.ft_partials
 
+let track t c =
+  if t.obs_on then Hashtbl.find_opt t.tracks (c.c_host, c.c_vci) else None
+
+(* How many of the first [upto] refused attempts happened strictly before
+   [now] — the ones a truncation keeps, by [Link.truncate_hop]'s rule. *)
+let kept_drops c ~upto ~now =
+  let kd = ref 0 in
+  while !kd < upto && c.c_drops.(!kd) < now do
+    incr kd
+  done;
+  !kd
+
+(* Train-commit mirror of [observe_cell], plus [send]'s refusal count: a
+   committed train crosses every stage loss-free, so each hop counts all
+   its cells at once, and each refused uplink attempt is a hop-0 drop. *)
+let flow_commit t c : undo option =
+  match (t.flowstat, track t c) with
+  | Some fs, Some { ft_flow = Some fl; ft_stages; _ } ->
+      let count cells =
+        for j = 0 to ft_stages - 1 do
+          Flowstat.count fs fl ~hop:j ~cells
+        done
+      in
+      count c.c_n;
+      Flowstat.drop fs fl ~hop:0 ~cells:(Array.length c.c_drops);
+      let counted = ref c.c_n and dropped = ref (Array.length c.c_drops) in
+      Some
+        (fun ~keep ~now ->
+          count (keep - !counted);
+          counted := keep;
+          let kd = kept_drops c ~upto:!dropped ~now in
+          Flowstat.drop fs fl ~hop:0 ~cells:(kd - !dropped);
+          dropped := kd)
+  | _ -> None
+
 (* Downlink delivery: the oldest fully-stamped partial is this EOP cell's
    journey; seal it into a settled-at-delivery path record. *)
 let observe_delivery t ~host (cell : Cell.t) =
@@ -288,6 +370,69 @@ let observe_delivery t ~host (cell : Cell.t) =
                    r_delivered = now;
                    r_hops = Array.of_list (List.rev pa.pa_hops);
                  }))
+
+(* Train-commit mirror of [observe_cell]'s EOP stamping and
+   [observe_delivery]'s sealing: one record per EOP cell with the exact
+   per-cell instants, provisional until the EOP's planned uplink
+   acceptance. Truncation discards the cut records and hands their
+   sequence numbers back as long as no later injection consumed one. *)
+let path_commit t c : undo option =
+  match track t c with
+  | Some tr when Pathrec.enabled () ->
+      let first_seq = tr.ft_seq in
+      let recs =
+        Array.map
+          (fun i ->
+            let seq = tr.ft_seq in
+            tr.ft_seq <- seq + 1;
+            let injected = c.c_up_accepts.(i) in
+            let hops =
+              Array.mapi
+                (fun j st ->
+                  let prev =
+                    if j = 0 then injected
+                    else c.c_stages.(j - 1).st_arrivals.(i)
+                  in
+                  {
+                    Pathrec.h_stage = st.st_sw;
+                    h_in_port = st.st_in_port;
+                    h_out_port = st.st_out_port;
+                    (* depth found at arrival = depth just after acceptance
+                       minus the cell itself, floored when it went straight
+                       to the wire *)
+                    h_queue = max 0 (int_of_float st.st_queue_after.(i) - 1);
+                    h_latency_ns = st.st_arrivals.(i) - prev;
+                  })
+                c.c_stages
+            in
+            Pathrec.add ~settle:injected
+              {
+                Pathrec.r_src = tr.ft_src;
+                r_dst = tr.ft_dst;
+                r_vci = tr.ft_vci;
+                r_seq = seq;
+                r_injected = injected;
+                r_delivered = c.c_deliveries.(i);
+                r_hops = hops;
+              })
+          c.c_eops
+      in
+      let synth_hi = ref tr.ft_seq in
+      Some
+        (fun ~keep ~now:_ ->
+          let min_seq = ref max_int in
+          Array.iteri
+            (fun k i ->
+              if i >= keep then begin
+                Pathrec.discard recs.(k);
+                min_seq := min !min_seq (first_seq + k)
+              end)
+            c.c_eops;
+          if !min_seq < max_int && tr.ft_seq = !synth_hi then begin
+            tr.ft_seq <- !min_seq;
+            synth_hi := !min_seq
+          end)
+  | _ -> None
 
 (* One injector per attachment point — per access-link direction per host,
    per switch output port per stage — so each has its own seed-derived
@@ -385,7 +530,7 @@ let create_topo sim ~topology config =
       host_attach = fb.fb_attach;
       dests;
       rx_handlers = Array.make hosts None;
-      rx_train_handlers = Array.make hosts None;
+      rx_trains = Array.make hosts None;
       next_tx_vci = Array.make hosts 32;
       next_rx_vci = Array.make hosts 32;
       next_trunk_vci = Array.make (Array.length fb.fb_trunks) 32;
@@ -450,9 +595,11 @@ let attach_rx t ~host f =
   check_host t host;
   t.rx_handlers.(host) <- Some f
 
-let attach_rx_train t ~host f =
+let attach_rx_train t ~host ~server ~cost ~ready body =
   check_host t host;
-  t.rx_train_handlers.(host) <- Some f
+  t.rx_trains.(host) <-
+    Some
+      { rt_server = server; rt_cost = cost; rt_ready = ready; rt_body = body }
 
 (* pcap tap at the injection point: every cell that enters the fabric is
    captured as a LINKTYPE_SUNATM record. *)
@@ -492,6 +639,102 @@ let send t ~host cell =
         end
   end;
   ok
+
+(* The span context a refused uplink attempt marks: every cell carries its
+   PDU's context, which the commit captured from the PDU's EOP cell. *)
+let drop_ctx c d =
+  let cell = c.c_drop_cells.(d) in
+  let k = ref 0 in
+  while !k < Array.length c.c_eops - 1 && c.c_eops.(!k) < cell do
+    incr k
+  done;
+  if Array.length c.c_eops = 0 then None else c.c_eop_ctxs.(!k)
+
+(* Train-commit mirror of the span marks [send] and the links stamp per
+   cell: each EOP milestone at the instant the per-cell path would stamp
+   it. Marks replace, so the per-cell values are those of the LAST stage
+   a cell crosses, and [Dropped] sits at the last refused uplink attempt
+   of any of the PDU's cells. *)
+let span_commit c : undo option =
+  if not (Span.enabled ()) then None
+  else begin
+    let final = c.c_stages.(Array.length c.c_stages - 1) in
+    let mark_drops ~upto =
+      for d = 0 to upto - 1 do
+        Span.mark_at (drop_ctx c d) Span.Dropped ~t:c.c_drops.(d)
+      done
+    in
+    Array.iteri
+      (fun k i ->
+        let ctx = c.c_eop_ctxs.(k) in
+        Span.mark_at ctx Span.Injected ~t:c.c_up_accepts.(i);
+        Span.mark_at ctx Span.Switch_in
+          ~t:(final.st_arrivals.(i) - final.st_transit);
+        Span.mark_at ctx Span.Switch_out ~t:final.st_arrivals.(i);
+        Span.mark_at ctx Span.Link_tx ~t:final.st_starts.(i);
+        Span.mark_at ctx Span.Rx_cell ~t:c.c_deliveries.(i))
+      c.c_eops;
+    mark_drops ~upto:(Array.length c.c_drops);
+    let marked = ref (Array.length c.c_drops) in
+    Some
+      (fun ~keep ~now ->
+        Array.iteri
+          (fun k i ->
+            if i >= keep then
+              List.iter
+                (Span.unmark c.c_eop_ctxs.(k))
+                Span.[ Injected; Switch_in; Switch_out; Link_tx; Rx_cell ])
+          c.c_eops;
+        let kd = kept_drops c ~upto:!marked ~now in
+        if kd < !marked then begin
+          for d = kd to !marked - 1 do
+            Span.unmark (drop_ctx c d) Span.Dropped
+          done;
+          (* re-stamp the kept refusals: the last one per PDU wins *)
+          mark_drops ~upto:kd;
+          marked := kd
+        end)
+  end
+
+(* Train-granular trace: one slice per fabric element the train occupies —
+   uplink serialization, then per stage the switch transit window and the
+   output link's serialization (interior stages "train.trunk", the egress
+   stage the historical "train.downlink") — each cut back to the kept
+   prefix, or dropped, on truncation. *)
+let trace_commit c : undo option =
+  if not (Trace.enabled ()) then None
+  else begin
+    let n = c.c_n in
+    let args = [ ("vci", Trace.Int c.c_vci); ("cells", Trace.Int n) ] in
+    let slices = ref [] in
+    let slice name ~tid ~ts ~fin =
+      let s =
+        Trace.train_slice Trace.Cell ~tid ~args ~ts ~dur:(fin (n - 1) - ts) name
+      in
+      slices := (s, ts, fin) :: !slices
+    in
+    let up = c.c_up_starts in
+    slice "train.uplink" ~tid:c.c_host ~ts:up.(0) ~fin:(fun i ->
+        up.(i) + c.c_up_cell);
+    Array.iter
+      (fun st ->
+        slice "train.switch" ~tid:st.st_out_port
+          ~ts:(st.st_arrivals.(0) - st.st_transit)
+          ~fin:(fun i -> st.st_arrivals.(i));
+        slice
+          (if st.st_terminal then "train.downlink" else "train.trunk")
+          ~tid:st.st_out_port ~ts:st.st_starts.(0)
+          ~fin:(fun i -> st.st_starts.(i) + st.st_cell))
+      c.c_stages;
+    let slices = !slices in
+    Some
+      (fun ~keep ~now:_ ->
+        List.iter
+          (fun (s, ts, fin) ->
+            if keep = 0 then Trace.drop_slice s
+            else Trace.set_slice s ~ts ~dur:(fin (keep - 1) - ts))
+          slices)
+  end
 
 let in_flight t ~host =
   check_host t host;
@@ -573,8 +816,8 @@ let port_dest t ~sw ~port =
 
 (* --- train fast path (DESIGN.md §14, multi-stage §16) ----------------- *)
 
-(* Default receive expansion for hosts whose NI is not train-aware: one
-   chained event per cell, each re-checking the train's live length so an
+(* Default receive expansion: one chained event per cell into the host's
+   [attach_rx] handler, each re-checking the train's live length so an
    upstream truncation simply stops the chain (the per-cell path
    re-delivers the cut cells for real). *)
 let rec expand_rx t ~dest ~rx_vci ~train ~deliveries i =
@@ -589,18 +832,114 @@ let rec expand_rx t ~dest ~rx_vci ~train ~deliveries i =
         (fun () -> expand_rx t ~dest ~rx_vci ~train ~deliveries (i + 1))
   end
 
-(* One stage of a planned multi-hop journey: the switch that forwards the
-   train at [st_arrivals] and the plan on its output link. *)
-type stage = {
-  st_sw : int;
-  st_in_port : int;
-  st_out_port : int;
-  st_out_vci : int;
-  st_link : Link.t;
-  st_transit : Sim.time;
-  st_arrivals : Sim.time array;
-  st_plan : Link.plan;
-}
+(* A train reaching its destination at the first cell's delivery instant.
+   A train-aware NI models its run of per-cell receive jobs as one paced
+   batch — cell i's job starts once it has arrived and the previous one is
+   done — with the bodies deferred to the batch completion (nothing
+   observes them in between); a truncation cuts the batch back. Otherwise
+   the cells expand per-cell. *)
+let deliver_train t ~dest ~rx_vci ~train ~deliveries =
+  let n = Cell.Train.length train in
+  match t.rx_trains.(dest) with
+  | Some rt when n > 0 && Trainmode.active () && rt.rt_ready () -> (
+      let actions =
+        Array.init n (fun i ->
+            let cell = Cell.with_vci (Cell.Train.cell train i) rx_vci in
+            fun () -> rt.rt_body cell)
+      in
+      match
+        Sync.Server.submit_paced rt.rt_server ~cost:rt.rt_cost
+          ~arrivals:(Array.sub deliveries 0 n) ~actions
+      with
+      | Some p ->
+          Cell.Train.on_truncate train (fun ~keep ~now:_ ->
+              Sync.Server.truncate_paced rt.rt_server p ~keep)
+      | None -> expand_rx t ~dest ~rx_vci ~train ~deliveries 0)
+  | _ -> expand_rx t ~dest ~rx_vci ~train ~deliveries 0
+
+(* Resolve a train's hop chain: the route must exist at every stage
+   (single-source output ports only) and every ingress port along it must
+   have no un-settled real cells. Returns the (switch, in port, out port,
+   out VCI, output link) hops, the last one onto the destination's
+   downlink, and the destination host. *)
+let rec resolve_hops t sw in_port in_vci acc =
+  match Switch.plan_route t.switches.(sw) ~in_port ~in_vci with
+  | None -> None
+  | Some (out_port, out_vci, link) -> (
+      let hop = (sw, in_port, out_port, out_vci, link) in
+      match t.dests.(sw).(out_port) with
+      | None -> None
+      | Some (To_host dst) -> Some (List.rev (hop :: acc), dst)
+      | Some (To_switch { sw = nsw; port = nport; trunk = _ }) ->
+          if t.in_flight.(nsw).(nport) > 0 then None
+          else resolve_hops t nsw nport out_vci (hop :: acc))
+
+(* Chain the per-stage plans: cell i reaches stage j's switch one hop
+   latency after leaving the previous link, is forwarded [transit] later,
+   and feeds the stage's output link. [None] if any stage refuses. *)
+let rec plan_stages t prev_link prev_starts hops acc =
+  match hops with
+  | [] -> Some (List.rev acc)
+  | (sw, in_port, out_port, out_vci, link) :: rest -> (
+      let transit = Switch.transit t.switches.(sw) in
+      let lat = Link.cell_time prev_link + Link.propagation prev_link in
+      let arrivals = Array.map (fun s -> s + lat + transit) prev_starts in
+      match
+        Link.plan_feed link ~arrivals ~sched_lead:transit
+          ~refuse_occ:(Switch.output_queue_capacity t.switches.(sw))
+      with
+      | None -> None
+      | Some pl ->
+          let st =
+            {
+              st_sw = sw;
+              st_in_port = in_port;
+              st_out_port = out_port;
+              st_out_vci = out_vci;
+              st_link = link;
+              st_cell = Link.cell_time link;
+              st_terminal = rest = [];
+              st_transit = transit;
+              st_arrivals = arrivals;
+              st_plan = pl;
+              st_starts = Link.plan_starts pl;
+              st_queue_after = Link.plan_queue_after pl;
+            }
+          in
+          plan_stages t link st.st_starts rest (st :: acc))
+
+(* Hand a committed train to every train-granular observer that is on;
+   each returns its truncation undo. With all of them off this allocates
+   nothing — not even the commit record. *)
+let observe_commit t ~host ~train ~uplink ~up_plan ~stages ~deliveries :
+    undo list =
+  if not (t.obs_on || Span.enabled () || Trace.enabled ()) then []
+  else
+    let n = Cell.Train.length train in
+    let eops = ref [] in
+    for i = n - 1 downto 0 do
+      if (Cell.Train.cell train i).Cell.eop then eops := i :: !eops
+    done;
+    let eops = Array.of_list !eops in
+    let c =
+      {
+        c_host = host;
+        c_vci = Cell.Train.vci train;
+        c_n = n;
+        c_up_cell = Link.cell_time uplink;
+        c_up_accepts = Link.plan_accepts up_plan;
+        c_up_starts = Link.plan_starts up_plan;
+        c_drops = Link.plan_drops up_plan;
+        c_drop_cells = Link.plan_drop_cells up_plan;
+        c_stages = Array.of_list stages;
+        c_eops = eops;
+        c_eop_ctxs =
+          Array.map (fun i -> (Cell.Train.cell train i).Cell.ctx) eops;
+        c_deliveries = deliveries;
+      }
+    in
+    List.filter_map Fun.id
+      [ flow_commit t c; path_commit t c; span_commit c; trace_commit c ]
 
 (* Plan a whole train's journey across the fabric analytically: sender-paced
    chain on the uplink, then per stage a fabric transit and an arrival-fed
@@ -611,75 +950,24 @@ type stage = {
    each element holds planned state that folds lazily into its counters, a
    single event hands the train to the receiving host at the first cell's
    delivery instant, and a truncation listener un-plans everything past an
-   interference point at every stage. The owner must arrange for
-   [on_interfere] to split its chain (it is installed as the uplink's
-   interfere hook; clear it when the chain ends). *)
+   interference point at every stage, then runs the observers' undos. The
+   owner must arrange for [on_interfere] to split its chain (it is
+   installed as the uplink's interfere hook; clear it when the chain
+   ends). *)
 let commit_train_gen t ~host ~train ~plan_uplink ~on_interfere =
   check_host t host;
   let n = Cell.Train.length train in
   let sw0, port0 = t.host_attach.(host) in
   if n = 0 || t.in_flight.(sw0).(port0) > 0 then None
   else
-    (* Resolve the hop chain first: the route must exist at every stage
-       (single-source output ports only) and every ingress port along it
-       must have no un-settled real cells. *)
-    let rec resolve sw in_port in_vci acc =
-      match Switch.plan_route t.switches.(sw) ~in_port ~in_vci with
-      | None -> None
-      | Some (out_port, out_vci, link) -> (
-          let hop = (sw, in_port, out_port, out_vci, link) in
-          match t.dests.(sw).(out_port) with
-          | None -> None
-          | Some (To_host dst) -> Some (List.rev (hop :: acc), dst)
-          | Some (To_switch { sw = nsw; port = nport; trunk = _ }) ->
-              if t.in_flight.(nsw).(nport) > 0 then None
-              else resolve nsw nport out_vci (hop :: acc))
-    in
-    match resolve sw0 port0 (Cell.Train.vci train) [] with
+    match resolve_hops t sw0 port0 (Cell.Train.vci train) [] with
     | None -> None
     | Some (hops, dst) -> (
         let uplink = t.uplinks.(host) in
         match plan_uplink uplink with
         | None -> None
         | Some up_plan -> (
-            (* Chain the per-stage plans: cell i reaches stage j's switch
-               one hop latency after leaving the previous link, is
-               forwarded [transit] later, and feeds the stage's output
-               link. *)
-            let rec plan_stages prev_link prev_starts hops acc =
-              match hops with
-              | [] -> Some (List.rev acc)
-              | (sw, in_port, out_port, out_vci, link) :: rest -> (
-                  let transit = Switch.transit t.switches.(sw) in
-                  let lat =
-                    Link.cell_time prev_link + Link.propagation prev_link
-                  in
-                  let arrivals =
-                    Array.map (fun s -> s + lat + transit) prev_starts
-                  in
-                  match
-                    Link.plan_feed link ~arrivals ~sched_lead:transit
-                      ~refuse_occ:
-                        (Switch.output_queue_capacity t.switches.(sw))
-                  with
-                  | None -> None
-                  | Some pl ->
-                      plan_stages link (Link.plan_starts pl) rest
-                        ({
-                           st_sw = sw;
-                           st_in_port = in_port;
-                           st_out_port = out_port;
-                           st_out_vci = out_vci;
-                           st_link = link;
-                           st_transit = transit;
-                           st_arrivals = arrivals;
-                           st_plan = pl;
-                         }
-                        :: acc))
-            in
-            match
-              plan_stages uplink (Link.plan_starts up_plan) hops []
-            with
+            match plan_stages t uplink (Link.plan_starts up_plan) hops [] with
             | None -> None
             | Some stages ->
                 let up_hop = Link.commit_plan uplink up_plan ~fold_sent:true in
@@ -689,174 +977,21 @@ let commit_train_gen t ~host ~train ~plan_uplink ~on_interfere =
                       let lhop =
                         Link.commit_plan st.st_link st.st_plan ~fold_sent:true
                       in
-                      let srec =
+                      ( st,
+                        lhop,
                         Switch.commit_plan t.switches.(st.st_sw)
                           ~out_port:st.st_out_port ~times:st.st_arrivals
-                          ~hw:(Link.plan_queue_after st.st_plan)
-                      in
-                      (st, lhop, srec))
+                          ~hw:st.st_queue_after ))
                     stages
                 in
                 let final = List.nth stages (List.length stages - 1) in
-                let up_accepts = Link.plan_accepts up_plan in
-                let up_starts = Link.plan_starts up_plan in
-                let down_starts = Link.plan_starts final.st_plan in
-                let down_lat =
-                  Link.cell_time final.st_link + Link.propagation final.st_link
+                let down_lat = final.st_cell + Link.propagation final.st_link in
+                let deliveries =
+                  Array.map (fun s -> s + down_lat) final.st_starts
                 in
-                (* Flow accounting and path records (DESIGN.md §17): a
-                   committed train is loss-free at every stage, so the
-                   whole train folds into per-hop flow counters in
-                   O(stages); per-PDU path records are synthesized from
-                   the plan arrays at the exact instants the per-cell
-                   path would stamp, provisional until the EOP cell's
-                   planned uplink acceptance passes. *)
-                let track =
-                  if t.obs_on then
-                    Hashtbl.find_opt t.tracks (host, Cell.Train.vci train)
-                  else None
-                in
-                let counted = ref 0 in
-                (match track with
-                | Some tr -> (
-                    match (t.flowstat, tr.ft_flow) with
-                    | Some fs, Some fl ->
-                        counted := n;
-                        for j = 0 to tr.ft_stages - 1 do
-                          Flowstat.count fs fl ~hop:j ~cells:n
-                        done
-                    | _ -> ())
-                | None -> ());
-                let path_recs = ref [] in
-                let synth_hi = ref 0 in
-                (match track with
-                | Some tr when Pathrec.enabled () ->
-                    let stage_arr = Array.of_list stages in
-                    let queue_after =
-                      Array.map
-                        (fun st -> Link.plan_queue_after st.st_plan)
-                        stage_arr
-                    in
-                    for i = 0 to n - 1 do
-                      if (Cell.Train.cell train i).Cell.eop then begin
-                        let seq = tr.ft_seq in
-                        tr.ft_seq <- seq + 1;
-                        let injected = up_accepts.(i) in
-                        let hops =
-                          Array.mapi
-                            (fun j st ->
-                              let prev =
-                                if j = 0 then injected
-                                else stage_arr.(j - 1).st_arrivals.(i)
-                              in
-                              {
-                                Pathrec.h_stage = st.st_sw;
-                                h_in_port = st.st_in_port;
-                                h_out_port = st.st_out_port;
-                                (* depth found at arrival = depth just
-                                   after acceptance minus the cell
-                                   itself, floored when it went straight
-                                   to the wire *)
-                                h_queue =
-                                  max 0
-                                    (int_of_float queue_after.(j).(i) - 1);
-                                h_latency_ns = st.st_arrivals.(i) - prev;
-                              })
-                            stage_arr
-                        in
-                        let r =
-                          Pathrec.add ~settle:up_accepts.(i)
-                            {
-                              Pathrec.r_src = tr.ft_src;
-                              r_dst = tr.ft_dst;
-                              r_vci = tr.ft_vci;
-                              r_seq = seq;
-                              r_injected = injected;
-                              r_delivered = down_starts.(i) + down_lat;
-                              r_hops = hops;
-                            }
-                        in
-                        path_recs := (i, seq, r) :: !path_recs
-                      end
-                    done;
-                    synth_hi := tr.ft_seq
-                | _ -> ());
-                (* Train-granular observers (DESIGN.md §15): the plan
-                   arrays give every milestone's exact instant, so EOP
-                   span marks are stamped at the same values the
-                   per-cell path would produce. Marks replace, so the
-                   per-cell values are those of the LAST stage the cell
-                   crosses — synthesized from [final]. *)
-                let synth_spans =
-                  Span.enabled ()
-                  && Span.granularity () = Granularity.Per_train
-                in
-                (* (index, ctx) of each EOP cell, captured now: the
-                   truncation listener runs after [live] has shrunk, so
-                   cut cells are no longer reachable via [Train.cell] *)
-                let eop_ctxs = ref [] in
-                if synth_spans then
-                  for i = 0 to n - 1 do
-                    let cell = Cell.Train.cell train i in
-                    if cell.Cell.eop then begin
-                      let ctx = cell.Cell.ctx in
-                      eop_ctxs := (i, ctx) :: !eop_ctxs;
-                      Span.mark_at ctx Span.Injected ~t:up_accepts.(i);
-                      Span.mark_at ctx Span.Switch_in
-                        ~t:(final.st_arrivals.(i) - final.st_transit);
-                      Span.mark_at ctx Span.Switch_out ~t:final.st_arrivals.(i);
-                      Span.mark_at ctx Span.Link_tx ~t:down_starts.(i);
-                      Span.mark_at ctx Span.Rx_cell
-                        ~t:(down_starts.(i) + down_lat)
-                    end
-                  done;
-                let slices =
-                  if not (Trace.train_slices_wanted ()) then None
-                  else
-                    let up_cell = Link.cell_time uplink in
-                    let args =
-                      [
-                        ("vci", Trace.Int (Cell.Train.vci train));
-                        ("cells", Trace.Int n);
-                      ]
-                    in
-                    let sl name ~tid ~ts ~fin =
-                      Trace.train_slice Trace.Cell ~tid ~args ~ts
-                        ~dur:(fin - ts) name
-                    in
-                    let s_up =
-                      sl "train.uplink" ~tid:host ~ts:up_starts.(0)
-                        ~fin:(up_starts.(n - 1) + up_cell)
-                    in
-                    (* one (switch, link) slice pair per stage: interior
-                       stages are "train.trunk", the egress stage keeps
-                       the historical "train.downlink" name *)
-                    let per_stage =
-                      List.map
-                        (fun st ->
-                          let starts = Link.plan_starts st.st_plan in
-                          let cell = Link.cell_time st.st_link in
-                          let terminal =
-                            match t.dests.(st.st_sw).(st.st_out_port) with
-                            | Some (To_host _) -> true
-                            | _ -> false
-                          in
-                          let s_sw =
-                            sl "train.switch" ~tid:st.st_out_port
-                              ~ts:(st.st_arrivals.(0) - st.st_transit)
-                              ~fin:st.st_arrivals.(n - 1)
-                          in
-                          let s_link =
-                            sl
-                              (if terminal then "train.downlink"
-                               else "train.trunk")
-                              ~tid:st.st_out_port ~ts:starts.(0)
-                              ~fin:(starts.(n - 1) + cell)
-                          in
-                          (st, cell, s_sw, s_link))
-                        stages
-                    in
-                    Some (up_cell, s_up, per_stage)
+                let undos =
+                  observe_commit t ~host ~train ~uplink ~up_plan ~stages
+                    ~deliveries
                 in
                 Cell.Train.on_truncate train (fun ~keep ~now ->
                     Link.truncate_hop uplink up_hop ~keep ~now;
@@ -865,87 +1000,13 @@ let commit_train_gen t ~host ~train ~plan_uplink ~on_interfere =
                         Switch.truncate_plan t.switches.(st.st_sw) srec ~keep;
                         Link.truncate_hop st.st_link lhop ~keep ~now)
                       commits;
-                    (* un-count the cut suffix (the per-cell re-run
-                       re-counts it) and discard its provisional path
-                       records, handing their sequence numbers back as
-                       long as no later injection consumed one *)
-                    (match track with
-                    | Some tr ->
-                        (match (t.flowstat, tr.ft_flow) with
-                        | Some fs, Some fl when !counted > keep ->
-                            let cut = !counted - keep in
-                            for j = 0 to tr.ft_stages - 1 do
-                              Flowstat.count fs fl ~hop:j ~cells:(-cut)
-                            done;
-                            counted := keep
-                        | _ -> ());
-                        let min_seq = ref max_int in
-                        List.iter
-                          (fun (i, seq, r) ->
-                            if i >= keep then begin
-                              Pathrec.discard r;
-                              if seq < !min_seq then min_seq := seq
-                            end)
-                          !path_recs;
-                        if !min_seq < max_int && tr.ft_seq = !synth_hi then begin
-                          tr.ft_seq <- !min_seq;
-                          synth_hi := !min_seq
-                        end
-                    | None -> ());
-                    (* cut cells re-run the per-cell path, which
-                       re-stamps their marks for real *)
-                    List.iter
-                      (fun (i, ctx) ->
-                        if i >= keep then begin
-                          Span.unmark ctx Span.Injected;
-                          Span.unmark ctx Span.Switch_in;
-                          Span.unmark ctx Span.Switch_out;
-                          Span.unmark ctx Span.Link_tx;
-                          Span.unmark ctx Span.Rx_cell
-                        end)
-                      !eop_ctxs;
-                    match slices with
-                    | None -> ()
-                    | Some (up_cell, s_up, per_stage) ->
-                        if keep = 0 then begin
-                          Trace.drop_slice s_up;
-                          List.iter
-                            (fun (_, _, s_sw, s_link) ->
-                              Trace.drop_slice s_sw;
-                              Trace.drop_slice s_link)
-                            per_stage
-                        end
-                        else begin
-                          Trace.set_slice s_up ~ts:up_starts.(0)
-                            ~dur:
-                              (up_starts.(keep - 1) + up_cell
-                             - up_starts.(0));
-                          List.iter
-                            (fun (st, cell, s_sw, s_link) ->
-                              let sw_ts =
-                                st.st_arrivals.(0) - st.st_transit
-                              in
-                              Trace.set_slice s_sw ~ts:sw_ts
-                                ~dur:(st.st_arrivals.(keep - 1) - sw_ts);
-                              let starts = Link.plan_starts st.st_plan in
-                              Trace.set_slice s_link ~ts:starts.(0)
-                                ~dur:
-                                  (starts.(keep - 1) + cell - starts.(0)))
-                            per_stage
-                        end);
+                    List.iter (fun undo -> undo ~keep ~now) undos);
                 Link.set_interfere uplink on_interfere;
-                let deliveries =
-                  Array.map (fun s -> s + down_lat) down_starts
-                in
                 Sim.schedule_drop ~label:"net.rx_train" t.sim
                   ~delay:(deliveries.(0) - Sim.now t.sim)
                   (fun () ->
-                    match t.rx_train_handlers.(dst) with
-                    | Some f when Cell.Train.length train > 0 ->
-                        f train ~rx_vci:final.st_out_vci ~deliveries
-                    | _ ->
-                        expand_rx t ~dest:dst ~rx_vci:final.st_out_vci ~train
-                          ~deliveries 0);
+                    deliver_train t ~dest:dst ~rx_vci:final.st_out_vci ~train
+                      ~deliveries);
                 Some (Link.plan_accepts up_plan)))
 
 let commit_train t ~host ~train ~first_attempt ~gap ~on_interfere =

@@ -148,14 +148,21 @@ val port_dest : t -> sw:int -> port:int -> [ `Host of int | `Switch of int ] opt
 val attach_rx_train :
   t ->
   host:int ->
-  (Cell.train -> rx_vci:int -> deliveries:Engine.Sim.time array -> unit) ->
+  server:Engine.Sync.Server.t ->
+  cost:Engine.Sim.time ->
+  ready:(unit -> bool) ->
+  (Cell.t -> unit) ->
   unit
-(** Install a train-aware receive handler: committed trains destined to
-    [host] are handed over whole at the first cell's delivery instant,
-    with [deliveries.(i)] the instant cell i would have arrived per-cell
-    (cells still carry the sender-side VCI; [rx_vci] is the egress
-    stage's relabel). Hosts without one get the default per-cell
-    expansion into their {!attach_rx} handler. *)
+(** Make [host]'s NI train-aware. A committed train destined to [host] is
+    handed over at its first cell's delivery instant as one paced batch
+    on [server] ({!Engine.Sync.Server.submit_paced}): one [cost] job per
+    cell, cell i arriving at the instant it would have arrived per-cell,
+    each running the receive [body] on the cell relabelled to the egress
+    VCI. When the fast path is off, [ready ()] is false (say, an NI fault
+    site is armed) or the server refuses the batch, the train — like any
+    train to a host without this — expands into chained per-cell
+    deliveries to the {!attach_rx} handler. A truncated train cuts its
+    batch back. *)
 
 val commit_train :
   t ->

@@ -2,7 +2,8 @@
 
    The store is two pools: [pending] holds provisional records ordered by
    settle instant (train synthesis runs at commit time, before the cells
-   exist on the wire), [settled] is a bounded ring of irrevocable ones.
+   exist on the wire), [settled] is a bounded FIFO of irrevocable ones
+   that drops its oldest record in O(1) once full.
    Settling is what feeds the per-hop-position latency sketches, so a
    truncated train's discarded records never leave a trace — the same
    lazy-fold discipline the link and switch counters use. *)
@@ -31,7 +32,7 @@ let capacity = 65_536
 (* provisional, most-recent-first; commit order is already settle order
    per flow, and [fold] filters by instant, so no sort is needed *)
 let pending : (Sim.time * record) list ref = ref []
-let settled : record list ref = ref [] (* most-recent-first *)
+let settled : record Queue.t = Queue.create () (* oldest first *)
 let n_settled = ref 0
 let n_dropped = ref 0
 
@@ -58,7 +59,7 @@ let enabled () = !enabled_flag
 
 let clear () =
   pending := [];
-  settled := [];
+  Queue.clear settled;
   n_settled := 0;
   n_dropped := 0;
   Hashtbl.iter (fun _ s -> Metrics.Sketch.clear s) hop_sketches
@@ -74,13 +75,11 @@ let settle_one r =
     (fun pos h ->
       Metrics.Sketch.observe (hop_sketch pos) (float_of_int h.h_latency_ns))
     r.r_hops;
-  settled := r :: !settled;
+  Queue.add r settled;
   incr n_settled;
-  if !n_settled - !n_dropped > capacity then begin
-    (* drop the oldest settled record; the ring keeps the recent past *)
-    (match List.rev !settled with
-    | _ :: rest -> settled := List.rev rest
-    | [] -> ());
+  if Queue.length settled > capacity then begin
+    (* the ring keeps the recent past *)
+    ignore (Queue.take settled : record);
     incr n_dropped
   end
 
@@ -107,7 +106,7 @@ let records () =
               | c -> c)
           | c -> c)
       | c -> c)
-    (List.rev !settled)
+    (List.of_seq (Queue.to_seq settled))
 
 let hop_quantile ~hop q =
   match Hashtbl.find_opt hop_sketches hop with

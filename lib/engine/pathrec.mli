@@ -68,6 +68,9 @@ val count : unit -> int
 val dropped : unit -> int
 (** Settled records lost to the bounded ring. *)
 
+val capacity : int
+(** Settled records the ring retains (the newest ones). *)
+
 val records : unit -> record list
 (** Settled records, ordered by (delivered, src, vci, seq) — a pure
     function of the traffic, independent of commit order, so train and

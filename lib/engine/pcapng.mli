@@ -17,13 +17,10 @@ val linktype_sunatm : int
     big-endian) before the cell payload. *)
 
 val enabled : unit -> bool
-
-val granularity : unit -> Granularity.t
-val set_granularity : Granularity.t -> unit
-(** [Per_cell] (the default): a full capture needs every cell on the
-    wire, so enabling pcap pins the per-cell path. Set [Per_train] when
-    PDU sampling is on — sampled PDUs run per-cell (and get captured)
-    while the rest ride the train path uncaptured. *)
+(** A full capture needs every cell on the wire, so enabling capture
+    pins the per-cell path — unless PDU sampling is on: then only the
+    sampled PDUs, which run per-cell anyway, are captured, and the rest
+    ride the train path uncaptured ({!Trainmode}). *)
 
 val start : unit -> unit
 (** Enable capture into a fresh packet store. *)

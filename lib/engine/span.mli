@@ -41,14 +41,6 @@ val mark_name : mark -> string
 
 val enabled : unit -> bool
 
-val granularity : unit -> Granularity.t
-val set_granularity : Granularity.t -> unit
-(** [Per_train] (the default) keeps the cell-train fast path engaged:
-    EOP milestones of committed trains are synthesized from plan records
-    at exactly the instants the per-cell path would stamp them, so span
-    dumps stay byte-identical across modes. [Per_cell] pins the slow
-    path (every mark is a real event). *)
-
 val start : unit -> unit
 (** Enable span collection into a fresh store. *)
 

@@ -44,20 +44,11 @@ type sink = event -> unit
 
 val enabled : unit -> bool
 
-val granularity : unit -> Granularity.t
-val set_granularity : Granularity.t -> unit
-(** [Per_train] (the default) keeps the cell-train fast path engaged:
-    plan commits synthesize one {!type-slice} per coarse phase of a
-    committed train (uplink serialization, switch transit, downlink
-    serialization) instead of per-cell events. [Per_cell] pins the
-    slow path and restores full per-cell event detail. *)
-
-val train_slices_wanted : unit -> bool
-(** Tracing is on and granularity is [Per_train] — plan commits should
-    synthesize slices. *)
-
 type slice
-(** A mutable train-granular span in its own bounded ring. Mutable
+(** A mutable train-granular span in its own bounded ring: while tracing
+    is on, cell-train commits record one per fabric element a train
+    occupies instead of per-cell events, so tracing never pins the
+    per-cell path (DESIGN.md §15). Mutable
     because truncation listeners patch committed slices in place when a
     fault cuts a train short. Merged into {!events} by timestamp. *)
 

@@ -1,40 +1,37 @@
 (* Global gate for the cell-train fast path (DESIGN.md §14, §15).
 
    Trains coalesce per-cell events into per-PDU analytic schedules, which is
-   only legal when nothing observes the simulation *between* cells. Since
-   PR 8 that is a per-observer property, not an all-or-nothing one: Trace,
-   Span and Timeseries default to [Per_train] (they synthesize their output
-   from committed plan records) and only pin the slow path when explicitly
-   set to [Per_cell]; pcapng capture defaults to [Per_cell] (a full capture
-   needs every cell) unless PDU sampling flips it; the profilers and the
-   flight recorder measure event-grain behavior itself and always pin.
-   Fault injectors and legacy loss are per-site and are checked at each
-   link/NI, not here, so a --fault at one attachment point expands only the
-   affected hop. *)
+   only legal when nothing observes the simulation *between* cells. Trace,
+   Span and Timeseries never need that — they synthesize their output from
+   committed plan records — so only four observers pin the slow path: pcap
+   capture (a full capture needs every cell on the wire) unless PDU
+   sampling is on, when only the sampled PDUs, which run per-cell anyway,
+   feed it; and the profilers and the flight recorder, which measure
+   event-grain behavior itself. Fault injectors and legacy loss are
+   per-site and are checked at each link/NI, not here, so a --fault at one
+   attachment point expands only the affected hop. *)
 
 let forced = ref false
 let force_per_cell v = forced := v
+let pcap_pins () = Pcapng.enabled () && not (Sample.active ())
+
+let any_pins () =
+  pcap_pins () || Profile.enabled () || Selfprof.enabled () || Recorder.armed ()
 
 let pinned () =
-  let per_cell g = g = Granularity.Per_cell in
   List.filter_map
-    (fun (name, pins) -> if pins () then Some name else None)
+    (fun (name, pins) -> if pins then Some name else None)
     [
-      ("trace", fun () -> Trace.enabled () && per_cell (Trace.granularity ()));
-      ("pcap", fun () -> Pcapng.enabled () && per_cell (Pcapng.granularity ()));
-      ("span", fun () -> Span.enabled () && per_cell (Span.granularity ()));
-      ( "timeseries",
-        fun () ->
-          Timeseries.enabled () && per_cell (Timeseries.granularity ()) );
-      ("profile", Profile.enabled);
-      ("selfprof", Selfprof.enabled);
-      ("recorder", Recorder.armed);
+      ("pcap", pcap_pins ());
+      ("profile", Profile.enabled ());
+      ("selfprof", Selfprof.enabled ());
+      ("recorder", Recorder.armed ());
     ]
 
-(* Satellite 1: pinning is easy to cause by accident (attach one eager
-   observer, silently lose the 14x fast path), so name the culprits once —
-   a [trainmode_pinned{observer}] gauge plus one stderr line. Never for
-   the --per-cell flag: that pin is explicit, and the differential tests
+(* Pinning is easy to cause by accident (attach one eager observer,
+   silently lose the 14x fast path), so name the culprits once — a
+   [trainmode_pinned{observer}] gauge plus one stderr line. Never for the
+   --per-cell flag: that pin is explicit, and the differential tests
    compare dumps across the flag byte-for-byte. *)
 let warned = ref false
 let pin_gauges : (string, Metrics.Gauge.t) Hashtbl.t = Hashtbl.create 7
@@ -65,11 +62,12 @@ let note_pinned names =
           (String.concat ", " names))
   end
 
+(* called per multi-cell tx descriptor and per received train: the
+   unpinned answer is a handful of boolean reads and allocates nothing *)
 let active () =
   if !forced then false
-  else
-    match pinned () with
-    | [] -> true
-    | names ->
-        note_pinned names;
-        false
+  else if any_pins () then begin
+    note_pinned (pinned ());
+    false
+  end
+  else true

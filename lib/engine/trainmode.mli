@@ -1,13 +1,14 @@
 (** Global gate for the cell-train fast path.
 
-    [active ()] is true when no enabled observer demands per-cell
-    granularity. Trace, Span and Timeseries default to [Per_train]
-    (their train-granular backends synthesize output from committed plan
-    records, so they do not pin); pcapng defaults to [Per_cell]; the
-    profilers and the flight recorder measure event-grain behavior
-    itself and always pin. Per-site conditions — fault injectors, legacy
-    loss, bounded queues — are checked at the individual link/NI
-    instead, so expansion stays local to the affected hop.
+    [active ()] is true unless an enabled observer needs to see every
+    cell: pcap capture without PDU sampling ([Pcapng.enabled () && not
+    (Sample.active ())] — under sampling only the sampled PDUs, which run
+    per-cell anyway, are captured), the virtual and wall profilers, and
+    the flight recorder. Trace, Span and Timeseries never pin: their
+    output is synthesized from committed plan records. Per-site
+    conditions — fault injectors, legacy loss, bounded queues — are
+    checked at the individual link/NI instead, so expansion stays local
+    to the affected hop.
 
     When observers do pin, each culprit is named in a
     [trainmode_pinned{observer}] gauge and a one-line stderr warning

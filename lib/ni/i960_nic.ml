@@ -369,46 +369,6 @@ let on_cell t (cell : Atm.Cell.t) =
   Sync.Server.submit t.server ~cost:t.cfg.rx_cell_ns (fun () ->
       rx_cell_body t cell)
 
-(* Per-cell fallback for a received train: deliver cell i into the normal
-   receive path at its per-cell arrival instant, re-checking the live
-   length so an upstream truncation just stops the chain (the per-cell
-   path re-delivers the cut cells for real). *)
-let rec expand_rx_train t train ~rx_vci ~deliveries i =
-  if i < Atm.Cell.Train.length train then begin
-    on_cell t (Atm.Cell.with_vci (Atm.Cell.Train.cell train i) rx_vci);
-    if i + 1 < Atm.Cell.Train.length train then
-      Sim.schedule_drop ~label:"ni.rx_train" t.sim
-        ~delay:(deliveries.(i + 1) - Sim.now t.sim)
-        (fun () -> expand_rx_train t train ~rx_vci ~deliveries (i + 1))
-  end
-
-(* A whole train arriving at the NI: model the run of per-cell rx jobs as
-   one paced batch — cell i's handling starts once it has arrived and the
-   previous one is done — with the reassembly pushes deferred to the batch
-   completion (nothing observes the reassembler in between). The EOP push
-   submits the delivery job for real, exactly as the per-cell path. *)
-let on_train t train ~rx_vci ~deliveries =
-  let n = Atm.Cell.Train.length train in
-  let paced =
-    if Trainmode.active () && t.fault = None then
-      let actions =
-        Array.init n (fun i ->
-            let cell =
-              Atm.Cell.with_vci (Atm.Cell.Train.cell train i) rx_vci
-            in
-            fun () -> rx_cell_body t cell)
-      in
-      Sync.Server.submit_paced t.server ~cost:t.cfg.rx_cell_ns
-        ~arrivals:(Array.sub deliveries 0 n)
-        ~actions
-    else None
-  in
-  match paced with
-  | Some p ->
-      Atm.Cell.Train.on_truncate train (fun ~keep ~now:_ ->
-          Sync.Server.truncate_paced t.server p ~keep)
-  | None -> expand_rx_train t train ~rx_vci ~deliveries 0
-
 let create net ~host cfg =
   let sim = Atm.Network.sim net in
   let labels = [ ("host", string_of_int host); ("nic", cfg.name) ] in
@@ -447,8 +407,11 @@ let create net ~host cfg =
     }
   in
   Atm.Network.attach_rx net ~host (fun cell -> on_cell t cell);
-  Atm.Network.attach_rx_train net ~host (fun train ~rx_vci ~deliveries ->
-      on_train t train ~rx_vci ~deliveries);
+  (* a received train runs as one paced batch of rx jobs on the i960,
+     its reassembly pushes deferred to the batch completion *)
+  Atm.Network.attach_rx_train net ~host ~server:t.server ~cost:cfg.rx_cell_ns
+    ~ready:(fun () -> t.fault = None)
+    (rx_cell_body t);
   Timeseries.register ~kind:Timeseries.Utilization "ni_i960_utilization"
     labels (fun () -> float_of_int (Sync.Server.busy_time t.server));
   Timeseries.register "ni_i960_queue_depth" labels (fun () ->

@@ -120,62 +120,20 @@ let rx_cell_body t (cell : Atm.Cell.t) =
       Sync.Server.submit t.kernel ~cost:t.cfg.rx_fixed_ns (fun () ->
           deliver t ?ctx cell.Atm.Cell.vci payload)
 
+(* the host reads the cell out of the interface FIFO word by word: one
+   counted PIO copy per cell on the receive side too *)
+let pio_read (cell : Atm.Cell.t) =
+  { cell with Atm.Cell.payload = Buf.copy ~layer:"sba100_rx_pio" cell.payload }
+
 let on_cell t (cell : Atm.Cell.t) =
   if cell.Atm.Cell.eop then Span.mark cell.Atm.Cell.ctx Span.Rx_cell;
   (* The receive trap plus software AAL5/CRC processing, serialized through
      the kernel (which is also what emulated-endpoint operations queue
      behind). *)
-  (* the host reads the cell out of the interface FIFO word by word: one
-     counted PIO copy per cell on the receive side too *)
-  let cell =
-    { cell with Atm.Cell.payload = Buf.copy ~layer:"sba100_rx_pio" cell.payload }
-  in
+  let cell = pio_read cell in
   prof t "rx_cell" t.cfg.rx_per_cell_ns;
   Sync.Server.submit t.kernel ~cost:t.cfg.rx_per_cell_ns (fun () ->
       rx_cell_body t cell)
-
-(* Per-cell fallback for a received train: chained events re-checking the
-   live length, exactly like [Network]'s default expansion, but through
-   this NI's own [on_cell]. *)
-let rec expand_rx_train t train ~rx_vci ~deliveries i =
-  if i < Atm.Cell.Train.length train then begin
-    on_cell t (Atm.Cell.with_vci (Atm.Cell.Train.cell train i) rx_vci);
-    if i + 1 < Atm.Cell.Train.length train then
-      Sim.schedule_drop ~label:"ni.rx_train" t.sim
-        ~delay:(deliveries.(i + 1) - Sim.now t.sim)
-        (fun () -> expand_rx_train t train ~rx_vci ~deliveries (i + 1))
-  end
-
-let on_train t train ~rx_vci ~deliveries =
-  let n = Atm.Cell.Train.length train in
-  let paced =
-    if Trainmode.active () && t.fault = None then
-      (* The PIO copy happens inside each action — at the cell's
-         consumption, only for cells actually consumed — so the copy
-         counters match the per-cell path even when the batch splits and
-         the cut cells are re-delivered (and re-copied) for real. *)
-      let actions =
-        Array.init n (fun i ->
-            let cell = Atm.Cell.with_vci (Atm.Cell.Train.cell train i) rx_vci in
-            fun () ->
-              let cell =
-                {
-                  cell with
-                  Atm.Cell.payload =
-                    Buf.copy ~layer:"sba100_rx_pio" cell.Atm.Cell.payload;
-                }
-              in
-              rx_cell_body t cell)
-      in
-      Sync.Server.submit_paced t.kernel ~cost:t.cfg.rx_per_cell_ns
-        ~arrivals:(Array.sub deliveries 0 n) ~actions
-    else None
-  in
-  match paced with
-  | Some p ->
-      Atm.Cell.Train.on_truncate train (fun ~keep ~now:_ ->
-          Sync.Server.truncate_paced t.kernel p ~keep)
-  | None -> expand_rx_train t train ~rx_vci ~deliveries 0
 
 (* The uplink's interfere hook: an unplanned per-cell send is about to
    thread through planned state. The host's PIO loop cannot be interrupted
@@ -351,8 +309,15 @@ let create net ~host ~cpu ?(config = default_config) () =
     }
   in
   Atm.Network.attach_rx net ~host (fun cell -> on_cell t cell);
-  Atm.Network.attach_rx_train net ~host (fun train ~rx_vci ~deliveries ->
-      on_train t train ~rx_vci ~deliveries);
+  (* A received train runs as one paced kernel batch. The PIO copy happens
+     inside each cell's body — at its consumption, only for cells actually
+     consumed — so the copy counters match the per-cell path even when the
+     batch splits and the cut cells are re-delivered (and re-copied) for
+     real. *)
+  Atm.Network.attach_rx_train net ~host ~server:t.kernel
+    ~cost:config.rx_per_cell_ns
+    ~ready:(fun () -> t.fault = None)
+    (fun cell -> rx_cell_body t (pio_read cell));
   Timeseries.register ~kind:Timeseries.Utilization "ni_kernel_utilization"
     labels (fun () -> float_of_int (Sync.Server.busy_time t.kernel));
   Timeseries.register "ni_kernel_queue_depth" labels (fun () ->

@@ -196,6 +196,35 @@ let path_identity () =
   Alcotest.(check bool) "train records = per-cell records" true
     (train = percell)
 
+(* The settled store is a bounded ring: past capacity it drops its oldest
+   record per settle and keeps the newest [capacity]. *)
+let path_ring () =
+  let k = 5 in
+  let record seq =
+    {
+      Pathrec.r_src = 0;
+      r_dst = 1;
+      r_vci = 32;
+      r_seq = seq;
+      r_injected = seq;
+      r_delivered = seq + 1;
+      r_hops = [||];
+    }
+  in
+  Pathrec.clear ();
+  Fun.protect ~finally:Pathrec.clear @@ fun () ->
+  for seq = 0 to Pathrec.capacity + k - 1 do
+    ignore (Pathrec.add ~settle:seq (record seq) : Pathrec.record)
+  done;
+  Pathrec.fold ~now:(Pathrec.capacity + k);
+  Alcotest.(check int) "oldest dropped" k (Pathrec.dropped ());
+  Alcotest.(check int) "every settle counted" (Pathrec.capacity + k)
+    (Pathrec.count ());
+  let seqs = List.map (fun r -> r.Pathrec.r_seq) (Pathrec.records ()) in
+  Alcotest.(check (list int)) "the newest capacity records kept"
+    (List.init Pathrec.capacity (fun i -> k + i))
+    seqs
+
 (* --- near-miss queue peaks --------------------------------------------- *)
 
 (* Three senders share one egress: the backlog peaks well below capacity,
@@ -311,6 +340,7 @@ let () =
         [
           Alcotest.test_case "train = per-cell under sampling" `Quick
             path_identity;
+          Alcotest.test_case "settled ring drops the oldest" `Quick path_ring;
         ] );
       ( "switch",
         [

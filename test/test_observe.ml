@@ -106,38 +106,6 @@ let sketch_bounds () =
 
 (* --- span milestones: train-granular = per-cell ----------------------- *)
 
-let all_marks =
-  Span.
-    [
-      Doorbell;
-      Nic_tx;
-      Injected;
-      Link_tx;
-      Switch_in;
-      Switch_out;
-      Rx_cell;
-      Demuxed;
-      Popped;
-      Dispatched;
-      Dropped;
-    ]
-
-(* Everything observable about a span except its allocation-order ids,
-   which differ between two runs in the same process. *)
-let span_fingerprint () =
-  Span.spans ()
-  |> List.map (fun (s : Span.span) ->
-         Printf.sprintf "%s host=%d minted=%d %s" s.Span.name s.Span.host
-           s.Span.minted
-           (String.concat ","
-              (List.map
-                 (fun m ->
-                   match Span.mark_time s m with
-                   | Some t -> Printf.sprintf "%s=%d" (Span.mark_name m) t
-                   | None -> Span.mark_name m ^ "=-")
-                 all_marks)))
-  |> String.concat "\n"
-
 (* With sampling on, sampled PDUs take the per-cell path (real marks) and
    the rest ride trains (marks synthesized from plan records): the whole
    span dump must still be byte-identical to the forced per-cell run,
@@ -155,7 +123,7 @@ let spans_identical_across_modes () =
        raise e);
     Trainmode.force_per_cell false;
     Sample.configure ~n:0 ~seed:0;
-    let fp = span_fingerprint () in
+    let fp = Fingerprint.spans () in
     Span.stop ();
     Span.clear ();
     fp
@@ -231,11 +199,10 @@ let timeseries_drop_counter () =
 
 let pinned_gauge () =
   Metrics.reset ();
-  Trace.start ();
-  Trace.set_granularity Granularity.Per_cell;
-  checkb "per-cell trace pins the slow path" false (Trainmode.active ());
-  checkb "trace named as the culprit" true
-    (List.mem "trace" (Trainmode.pinned ()));
+  Pcapng.start ();
+  checkb "pcap without sampling pins the slow path" false (Trainmode.active ());
+  Alcotest.(check (list string)) "pcap named as the culprit" [ "pcap" ]
+    (Trainmode.pinned ());
   let dump = Metrics.to_prometheus_string () in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
@@ -244,13 +211,27 @@ let pinned_gauge () =
     in
     go 0
   in
-  checkb "trainmode_pinned{observer=trace} gauge set" true
-    (contains dump "trainmode_pinned" && contains dump "observer=\"trace\"");
-  Trace.set_granularity Granularity.Per_train;
-  checkb "back to train granularity, fast path re-engages" true
-    (Trainmode.active ());
-  Trace.stop ();
-  Trace.clear ()
+  checkb "trainmode_pinned{observer=pcap} gauge set" true
+    (contains dump "trainmode_pinned" && contains dump "observer=\"pcap\"");
+  (* under sampling only the sampled PDUs, which run per-cell anyway,
+     feed the capture *)
+  Sample.configure ~n:3 ~seed:0x5eed;
+  checkb "pcap under sampling, fast path re-engages" true (Trainmode.active ());
+  Alcotest.(check (list string)) "nothing pins" [] (Trainmode.pinned ());
+  Sample.configure ~n:0 ~seed:0;
+  Pcapng.stop ();
+  Pcapng.clear ()
+
+(* The gate runs per multi-cell tx descriptor and per received train, so
+   the unpinned answer must not allocate. *)
+let active_allocates_nothing () =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Trainmode.active () : bool)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  checkb (Printf.sprintf "10k unpinned calls allocate %.0f words" words) true
+    (words < 100.)
 
 let () =
   Alcotest.run "observe"
@@ -274,5 +255,7 @@ let () =
           Alcotest.test_case "ring drops counted" `Quick
             timeseries_drop_counter;
           Alcotest.test_case "pinning observer named" `Quick pinned_gauge;
+          Alcotest.test_case "unpinned gate allocates nothing" `Quick
+            active_allocates_nothing;
         ] );
     ]

@@ -14,30 +14,107 @@ let strip_event_counters dump =
          not (String.length line >= 16 && String.sub line 0 16 = "sim_events_total"))
   |> String.concat "\n"
 
+(* Settled path records, one line each, in the store's canonical order. *)
+let path_lines () =
+  Pathrec.records ()
+  |> List.map (fun (r : Pathrec.record) ->
+         Printf.sprintf "%d>%d vci=%d seq=%d injected=%d delivered=%d%s"
+           r.Pathrec.r_src r.r_dst r.r_vci r.r_seq r.r_injected r.r_delivered
+           (String.concat ""
+              (Array.to_list
+                 (Array.map
+                    (fun (h : Pathrec.hop) ->
+                      Printf.sprintf " [s%d %d>%d q=%d %dns]" h.Pathrec.h_stage
+                        h.h_in_port h.h_out_port h.h_queue h.h_latency_ns)
+                    r.r_hops))))
+  |> String.concat "\n"
+
+type run = { dump : string; fired : int; paths : string; spans : string }
+
+let set_observers on =
+  if on then begin
+    Atm.Flowstat.configure ();
+    Pathrec.clear ();
+    Pathrec.start ();
+    Span.clear ();
+    Span.start ()
+  end
+  else begin
+    Atm.Flowstat.disable ();
+    Pathrec.stop ();
+    Span.stop ()
+  end
+
 (* Run [f] once per mode from a clean registry and return each mode's
-   stripped Prometheus dump plus the events it fired. *)
-let both_modes f =
+   stripped Prometheus dump plus the events it fired; with [observers],
+   flow accounting, path records and spans run too, and their output is
+   captured. *)
+let both_modes ?(observers = false) f =
   let run forced =
     Metrics.reset ();
+    set_observers observers;
     Trainmode.force_per_cell forced;
     let fired0 = Sim.events_fired () in
+    let finish () =
+      Trainmode.force_per_cell false;
+      if observers then set_observers false
+    in
     (try f ()
      with e ->
-       Trainmode.force_per_cell false;
+       finish ();
        raise e);
-    Trainmode.force_per_cell false;
+    let fired = Sim.events_fired () - fired0 in
+    finish ();
     Metrics.flush ();
-    (strip_event_counters (Metrics.to_prometheus_string ()),
-     Sim.events_fired () - fired0)
+    let r =
+      {
+        dump = strip_event_counters (Metrics.to_prometheus_string ());
+        fired;
+        paths = path_lines ();
+        spans = Fingerprint.spans ();
+      }
+    in
+    Pathrec.clear ();
+    Span.clear ();
+    r
   in
   let train = run false in
   let percell = run true in
   (train, percell)
 
 let check_identical name f =
-  let (train_dump, _), (percell_dump, _) = both_modes f in
-  Alcotest.(check string) (name ^ ": metrics train = per-cell") percell_dump
-    train_dump
+  let train, percell = both_modes f in
+  Alcotest.(check string) (name ^ ": metrics train = per-cell") percell.dump
+    train.dump
+
+(* The train-granular observers must report what the per-cell oracle
+   reports: flow counters (hop-0 drops from refused uplink attempts
+   included), path records, and every span mark ([Dropped] included). *)
+let check_observed name f =
+  let train, percell = both_modes ~observers:true f in
+  (* name the first differing line: the dumps run to hundreds of lines *)
+  let check what percell train =
+    let rec first = function
+      | p :: ps, t :: ts -> if p = t then first (ps, ts) else Some (p, t)
+      | [], [] -> None
+      | p :: _, [] -> Some (p, "<end>")
+      | [], t :: _ -> Some ("<end>", t)
+    in
+    match
+      first (String.split_on_char '\n' percell, String.split_on_char '\n' train)
+    with
+    | None -> ()
+    | Some (p, t) ->
+        Alcotest.failf "%s: %s train <> per-cell\n per-cell: %s\n train:    %s"
+          name what p t
+  in
+  check "metrics" percell.dump train.dump;
+  check "path records" percell.paths train.paths;
+  check "spans" percell.spans train.spans;
+  Alcotest.(check bool)
+    (name ^ ": observers saw traffic")
+    true
+    (train.paths <> "" && train.spans <> "")
 
 (* --- flags-off equivalence on the paper's workload shapes ------------- *)
 
@@ -55,13 +132,24 @@ let store_style () =
         (Experiments.Common.uam_store_bandwidth ~count:20 ~size:4096 ()
           : float))
 
+let fig4_observed () =
+  check_observed "fig4max raw bandwidth" (fun () ->
+      ignore (Experiments.Common.raw_bandwidth ~count:30 ~size:5056 () : float))
+
+let store_observed () =
+  check_observed "uam store bandwidth" (fun () ->
+      ignore
+        (Experiments.Common.uam_store_bandwidth ~count:20 ~size:4096 ()
+          : float))
+
 (* The fast path must actually engage on the PDU-heavy shape, not be
    vacuously equivalent because nothing ever trained. *)
 let fast_path_engages () =
-  let (_, train_fired), (_, percell_fired) =
+  let train, percell =
     both_modes (fun () ->
         ignore (Experiments.Common.raw_bandwidth ~count:30 ~size:5056 () : float))
   in
+  let train_fired = train.fired and percell_fired = percell.fired in
   Alcotest.(check bool)
     (Printf.sprintf "3x fewer events (train %d vs per-cell %d)" train_fired
        percell_fired)
@@ -74,12 +162,12 @@ let prop_sizes =
   QCheck.Test.make ~count:6 ~name:"train = per-cell across PDU sizes"
     QCheck.(map (fun n -> 40 + (n mod 5017)) small_nat)
     (fun size ->
-      let (train_dump, _), (percell_dump, _) =
+      let train, percell =
         both_modes (fun () ->
             ignore
               (Experiments.Common.raw_bandwidth ~count:10 ~size () : float))
       in
-      train_dump = percell_dump)
+      train.dump = percell.dump)
 
 (* --- lazy expansion under a mid-topology fault ------------------------ *)
 
@@ -122,12 +210,11 @@ let faulty_pair_run () =
   Sim.run ~until:(Sim.ms 50) c.sim
 
 let fault_expansion () =
-  let (train_dump, train_fired), (percell_dump, percell_fired) =
-    both_modes faulty_pair_run
-  in
+  let train, percell = both_modes faulty_pair_run in
+  let train_fired = train.fired and percell_fired = percell.fired in
   (* expansion is exact: same deliveries, same drops, same everything *)
-  Alcotest.(check string) "faulty run: metrics train = per-cell" percell_dump
-    train_dump;
+  Alcotest.(check string) "faulty run: metrics train = per-cell" percell.dump
+    train.dump;
   (* the injector really fired on the faulty uplink... *)
   Metrics.reset ();
   Trainmode.force_per_cell false;
@@ -153,6 +240,90 @@ let fault_expansion () =
     true
     (train_fired * 3 <= percell_fired * 2)
 
+(* --- truncation takes back what a commit synthesized -------------------- *)
+
+(* One train driven straight through [Network.commit_train] on a 2-cell
+   uplink FIFO fed twice as fast as the wire, so the uplink refuses
+   attempts all along the plan, then cut mid-flight. The commit stamps the
+   EOP's milestones and a [Dropped] mark at the last refused attempt; the
+   cut must erase the EOP marks (the cell was not sent) and move [Dropped]
+   back to the last refusal strictly before the cut — the later ones are
+   re-performed, or not, by the per-cell path, exactly as the uplink's own
+   drop counter keeps only refusals before the cut. *)
+let truncation_unmarks_spans () =
+  let config = { Atm.Network.default_config with host_tx_fifo = 2 } in
+  let net_with_train () =
+    let sim = Sim.create () in
+    let net = Atm.Network.create sim ~hosts:2 config in
+    Atm.Network.attach_rx net ~host:1 ignore;
+    let conn = Atm.Network.connect net ~a:0 ~b:1 in
+    let ctx = Span.root "truncated" in
+    let cells =
+      Atm.Aal5.segment ~ctx ~vci:conn.Atm.Network.side_a.tx_vci
+        (Buf.of_string (String.make 1000 'x'))
+    in
+    (sim, net, Atm.Cell.Train.of_cells (Array.of_list cells), ctx)
+  in
+  Span.clear ();
+  Span.start ();
+  Fun.protect ~finally:(fun () ->
+      Span.stop ();
+      Span.clear ())
+  @@ fun () ->
+  (* the refusals the commit will plan, from the same plan on a twin *)
+  let refusals, gap =
+    let _, twin, train, _ = net_with_train () in
+    let uplink = Atm.Network.uplink twin ~host:0 in
+    let gap = Atm.Link.cell_time uplink / 2 in
+    match
+      Atm.Link.plan_chain uplink ~n:(Atm.Cell.Train.length train)
+        ~first_attempt:gap ~gap
+    with
+    | Some pl -> (Atm.Link.plan_drops pl, gap)
+    | None -> Alcotest.fail "twin uplink refused the plan"
+  in
+  let sim, net, train, ctx = net_with_train () in
+  let uplink = Atm.Network.uplink net ~host:0 in
+  let n = Atm.Cell.Train.length train in
+  let accepts =
+    match
+      Atm.Network.commit_train net ~host:0 ~train ~first_attempt:gap ~gap
+        ~on_interfere:ignore
+    with
+    | Some a -> a
+    | None -> Alcotest.fail "train did not commit"
+  in
+  let mark m =
+    match Span.find ctx.Span.span_id with
+    | Some s -> Span.mark_time s m
+    | None -> None
+  in
+  let nd = Array.length refusals in
+  Alcotest.(check bool) (Printf.sprintf "uplink refuses (%d)" nd) true (nd > 4);
+  Alcotest.(check (option int)) "Dropped at the last refusal"
+    (Some refusals.(nd - 1)) (mark Span.Dropped);
+  Alcotest.(check (option int)) "EOP injected at its acceptance"
+    (Some accepts.(n - 1)) (mark Span.Injected);
+  (* cut between two refusals, halfway through the plan *)
+  let cut = refusals.(nd / 2) + 1 in
+  Sim.run ~until:cut sim;
+  let before arr =
+    Array.fold_left (fun k x -> if x < cut then k + 1 else k) 0 arr
+  in
+  let keep = before accepts in
+  Atm.Cell.Train.truncate train ~keep ~now:(Sim.now sim);
+  let kept = before refusals in
+  Alcotest.(check int) "uplink keeps the refusals before the cut" kept
+    (Atm.Link.cells_dropped uplink);
+  Alcotest.(check (option int)) "Dropped moves back to the last kept refusal"
+    (Some refusals.(kept - 1)) (mark Span.Dropped);
+  List.iter
+    (fun m ->
+      Alcotest.(check (option int))
+        (Span.mark_name m ^ " erased")
+        None (mark m))
+    Span.[ Injected; Switch_in; Switch_out; Link_tx; Rx_cell ]
+
 let () =
   Alcotest.run "train"
     [
@@ -161,9 +332,14 @@ let () =
           Alcotest.test_case "fig4-style bandwidth" `Slow fig4_style;
           Alcotest.test_case "fig3-style rtt" `Slow fig3_style;
           Alcotest.test_case "uam store" `Slow store_style;
+          Alcotest.test_case "fig4-style, observers on" `Slow fig4_observed;
+          Alcotest.test_case "uam store, observers on" `Slow store_observed;
           Alcotest.test_case "fast path engages" `Slow fast_path_engages;
           QCheck_alcotest.to_alcotest prop_sizes;
         ] );
+      ( "truncation",
+        [ Alcotest.test_case "spans unmarked past the cut" `Quick
+            truncation_unmarks_spans ] );
       ( "fault-expansion",
         [ Alcotest.test_case "lossy uplink expands locally" `Slow
             fault_expansion ] );
