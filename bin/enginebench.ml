@@ -74,7 +74,7 @@ let run quick per_cell trace timeseries flowstat sample_pdus sample_seed out
             (Engine.Sim.tombstone_ratio () *. 100.));
     (match selfprof with
     | Some path ->
-        Engine.Selfprof.write_folded path;
+        Engine.Selfprof.(write_folded path (stacks ()));
         Format.printf "wrote wall-time flamegraph (%d ns elapsed) to %s@."
           (Engine.Selfprof.elapsed_wall_ns ())
           path

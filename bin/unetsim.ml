@@ -217,7 +217,8 @@ let profile_file =
            and write a collapsed-stack (folded) file to $(docv) (default \
            $(b,profile.folded)), the format flamegraph.pl and speedscope \
            ingest. Each host's root frame's inclusive time equals the \
-           run's elapsed virtual time.")
+           run's elapsed virtual time. The same profiler run also feeds \
+           $(b,--selfprof).")
 
 let selfprof_file =
   Arg.(
@@ -226,12 +227,12 @@ let selfprof_file =
     & info [ "selfprof" ] ~docv:"FILE"
         ~doc:
           "Attribute wall-clock time and GC allocation to the same frame \
-           taxonomy as $(b,--profile) (the two compose; one push feeds \
-           both) and write a collapsed-stack wall-time file to $(docv) \
-           (default $(b,selfprof.folded)). The root's inclusive wall time \
-           equals measured elapsed wall time. Also prints a per-event-kind \
-           summary and queue pop-cost figures, and warns when the \
-           event-queue tombstone ratio exceeds 25%.")
+           taxonomy as $(b,--profile) (one profiler, two clocks: one run \
+           feeds both files) and write a collapsed-stack wall-time file \
+           to $(docv) (default $(b,selfprof.folded)). The root's \
+           inclusive wall time equals measured elapsed wall time. Also \
+           prints a per-event-kind summary and queue pop-cost figures, \
+           and warns when the event-queue tombstone ratio exceeds 25%.")
 
 let timeseries_file =
   Arg.(
@@ -421,8 +422,10 @@ let cmd =
              sampled PDUs alone feed the capture *)
           if sample_n > 0 then
             Engine.Sample.configure ~n:sample_n ~seed:sample_seed;
-          if profile <> None || report <> None then Engine.Profile.start ();
-          if selfprof <> None || report <> None then Engine.Selfprof.start ();
+          (* one profiler, two clocks: the flags only pick which folded
+             file is written *)
+          if profile <> None || selfprof <> None || report <> None then
+            Engine.Selfprof.start ();
           if timeseries <> None || report <> None then
             Engine.Timeseries.start ();
           (match postmortem with
@@ -485,17 +488,17 @@ let cmd =
             (match profile with
             | Some path ->
                 or_fail "profile" (fun () ->
-                    Engine.Profile.write_folded path;
+                    Engine.Selfprof.(write_folded path (virtual_stacks ()));
                     Format.printf
                       "wrote folded profile (%d hosts, %d ns elapsed) to %s@."
-                      (List.length (Engine.Profile.hosts ()))
-                      (Engine.Profile.elapsed ())
+                      (List.length (Engine.Selfprof.hosts ()))
+                      (Engine.Selfprof.elapsed ())
                       path)
             | None -> ());
             (match selfprof with
             | Some path ->
                 or_fail "selfprof" (fun () ->
-                    Engine.Selfprof.write_folded path;
+                    Engine.Selfprof.(write_folded path (stacks ()));
                     Format.printf
                       "wrote wall-time self-profile (%d ns elapsed) to %s@."
                       (Engine.Selfprof.elapsed_wall_ns ())

@@ -5,7 +5,7 @@
    <div>s — no scripts, no fonts, no fetches, so the file opens identically
    from disk, an artifact store, or an air-gapped machine. Section builders
    pull from the telemetry registries (Span attribution, Timeseries
-   series, Profile stacks, the Metrics registry) and return HTML
+   series, Selfprof stacks, the Metrics registry) and return HTML
    fragments; [page] wraps an ordered list of fragments into the document. *)
 
 let escape s =
@@ -221,9 +221,9 @@ type fnode = {
   mutable f_children : (string * fnode) list; (* reversed insertion order *)
 }
 
-(* shared by the virtual-time (Profile) and wall-time (Selfprof)
-   flamegraphs: rebuild the tree from folded stacks and emit the divs;
-   [fmt] renders a value for the hover title *)
+(* shared by the virtual-time and wall-time flamegraphs: rebuild the
+   tree from folded stacks and emit the divs; [fmt] renders a value for
+   the hover title *)
 let flamegraph_html ~fmt stacks =
   let roots : (string * fnode) list ref = ref [] in
   let node lst name =
@@ -303,7 +303,7 @@ let flamegraph_html ~fmt stacks =
   Buffer.contents buf
 
 let profile_section () =
-  let stacks = Profile.stacks () in
+  let stacks = Selfprof.virtual_stacks () in
   if stacks = [] then
     section ~title:"Profile" "<p class=\"muted\">profiler not enabled</p>"
   else
@@ -313,7 +313,7 @@ let profile_section () =
           "<p class=\"muted\">elapsed virtual time %s; root-exclusive time \
            is idle/unattributed. Wider is longer; hover for exact \
            times.</p>"
-          (fmt_ns (Profile.elapsed ())))
+          (fmt_ns (Selfprof.elapsed ())))
 
 (* wall-clock self-observability: the wall-time twin of the virtual
    flamegraph, the event-queue depth over time, and the queue's

@@ -44,7 +44,7 @@ val flamegraph_html : fmt:(int -> string) -> (string list * int) list -> string
     inclusive value for the hover title. *)
 
 val profile_section : unit -> string
-(** Per-host icicle flamegraph over [Profile.stacks]. *)
+(** Per-host icicle flamegraph over [Selfprof.virtual_stacks]. *)
 
 val engine_section : unit -> string
 (** Wall-clock self-profile: [Selfprof] flamegraph, event-queue depth

@@ -1,60 +1,93 @@
-(** Wall-clock self-observability: a monotonic-clock and GC-allocation
-    attribution profiler over the same frame taxonomy as the virtual-time
-    {!Profile}, plus the bounded histograms behind the event-queue
-    introspection.
+(** The profiler: one frame taxonomy on two clocks, plus the bounded
+    histograms behind the event-queue introspection.
 
-    Charges are deltas of the monotonic clock and of [Gc.counters] taken
-    at every transition (frame enter/exit, event dispatch begin/end) and
-    charged to the node executing through the interval, so nothing is
-    double-counted and the root's inclusive wall time equals measured
-    elapsed wall time by construction.
+    Layers {!push}/{!pop} named frames; one call moves both stacks.
 
-    The tree is rooted at a single [engine] node whose depth-1 children
-    are event kinds ([ev:<schedule label>]) and out-of-event frames;
-    frames entered while an event runs nest under its kind node, and
-    inter-event loop overhead is the root's exclusive time.
+    - {b Virtual time} is attributed per simulated host at the sites that
+      account it ({!charge}, {!charge_root}), before the implied sleep,
+      so time spent by other processes while a frame's owner sleeps never
+      lands in that frame. Each host's tree is rooted at [host<N>], whose
+      exclusive time is elapsed virtual time minus everything attributed
+      beneath it: the root's inclusive time equals {!elapsed}.
+    - {b Wall time and allocation} are deltas of the monotonic clock and
+      of [Gc.counters] taken at every transition (push/pop, event
+      dispatch begin/end) and charged to the node executing through the
+      interval, so nothing is double-counted and the [engine] root's
+      inclusive wall time equals {!elapsed_wall_ns}. Its depth-1 children
+      are event kinds ([ev:<schedule label>]) and out-of-event frames;
+      frames pushed while an event runs nest under its kind node, and
+      inter-event loop overhead is the root's exclusive time.
 
-    [Profile.push]/[Profile.pop] forward here, so one instrumentation
-    site feeds both profilers; [Sim.step] drives the event windows and
-    the queue histograms. Process-global, off by default, one boolean
-    test per call when disabled. *)
+    [Sim.step] drives the event windows and the queue histograms.
+    Process-global, off by default, one boolean test per call when
+    disabled. *)
 
 val start : unit -> unit
-(** Enable and clear; the elapsed origin is the current wall time. *)
+(** Enable and clear; both elapsed origins are the current virtual and
+    wall times. *)
 
 val stop : unit -> unit
-(** Final charge, freeze elapsed time, disable, and fold per-layer
-    [selfprof_wall_ns_total{layer}] / [selfprof_alloc_words_total{layer}]
-    counters into the metrics registry. *)
+(** Final wall charge, freeze both elapsed times, disable, and fold
+    per-layer [selfprof_wall_ns_total{layer}] /
+    [selfprof_alloc_words_total{layer}] counters into the metrics
+    registry. *)
 
 val clear : unit -> unit
 val enabled : unit -> bool
 
+val attach_clock : (unit -> int) -> unit
+(** Called by [Sim.create] with a cumulative virtual-time clock (monotone
+    across simulator instances within one run). *)
+
 val now_ns : unit -> int
 (** The monotonic clock, in nanoseconds (arbitrary origin). *)
+
+val elapsed : unit -> int
+(** Virtual ns since {!start}, cumulative across simulator instances
+    (frozen by {!stop}). *)
 
 val elapsed_wall_ns : unit -> int
 (** Wall ns since {!start} (frozen by {!stop}). *)
 
-(** {2 Transitions (called by [Profile] and [Sim])} *)
+(** {2 Frames and charges} *)
 
-val enter : string -> unit
-(** Enter a named frame (forwarded from [Profile.push]). *)
+val push : ?host:int -> string -> unit
+(** Enter a named frame on [host]'s virtual stack and on the wall stack
+    of the current event window. No-op when disabled. *)
 
-val exit_frame : unit -> unit
-(** Leave the innermost frame. An exit with no frame open in the current
-    event window only bumps {!unmatched_exits} — it is the matching pop
-    of a frame that slept across events. *)
+val pop : ?host:int -> unit -> unit
+(** Leave the innermost frame on both stacks. Popping an empty virtual
+    stack only bumps {!unmatched_pops} (never raises); an empty wall
+    stack is the matching pop of a frame that slept across events, which
+    its event window already rewound. *)
+
+val charge : ?host:int -> ?frames:string list -> int -> unit
+(** [charge ~host ~frames ns] attributes [ns] of virtual time to the node
+    reached by descending [frames] from the top of [host]'s stack
+    (creating nodes as needed). Call this synchronously where the time is
+    charged, before any sleep. *)
+
+val charge_root : ?host:int -> frames:string list -> int -> unit
+(** Like {!charge} but always descends from the host root, ignoring the
+    current stack — for asynchronous device time (NI servers) that should
+    not nest under whatever application frame happens to be open. *)
+
+val depth : host:int -> int
+(** Current virtual stack depth for a host (0 when balanced). *)
+
+val unmatched_pops : unit -> int
+val hosts : unit -> int list
+
+(** {2 Event windows (called by [Sim])} *)
 
 val event_begin : label:string -> unit
-(** An event thunk is about to run: open a fresh window under the
+(** An event thunk is about to run: open a fresh wall window under the
     [ev:<label>] kind node ([ev:event] when the label is empty). *)
 
 val event_end : unit -> unit
-(** The thunk returned: rewind frames it left open (counted in
+(** The thunk returned: rewind wall frames it left open (counted in
     {!dangling}) and accumulate the per-kind event summary. *)
 
-val unmatched_exits : unit -> int
 val dangling : unit -> int
 
 (** {2 Event-queue histograms (reported by [Sim] when enabled)} *)
@@ -75,26 +108,33 @@ val batch_size_mean : unit -> float
 
 (** {2 Dumps} *)
 
-val stacks : unit -> (string list * int) list
-(** Every stack with its exclusive wall ns, deterministic order. Paths
-    start at the [engine] root; uncharged tail time (only while still
-    enabled) shows as root-exclusive, so root inclusive tracks elapsed. *)
+type stacks = (string list * int) list
+(** Paths from a root with their exclusive values, deterministic order
+    (children in creation order); every root line is listed. *)
 
-val alloc_stacks : unit -> (string list * int) list
-(** The same tree with exclusive allocated words (minor + major direct)
+val virtual_stacks : unit -> stacks
+(** Per host, exclusive virtual ns under [host<N>]; the root line carries
+    the residual (idle/unattributed) time, so per host the values sum to
+    {!elapsed}. *)
+
+val stacks : unit -> stacks
+(** Exclusive wall ns under [engine]; uncharged tail time (only while
+    still enabled) shows as root-exclusive, so the sum tracks
+    {!elapsed_wall_ns}. *)
+
+val alloc_stacks : unit -> stacks
+(** The wall tree with exclusive allocated words (minor + major direct)
     as values. *)
 
-val to_folded_string : unit -> string
-(** Collapsed-stack text (flamegraph.pl / speedscope format) of wall ns. *)
+val folded : stacks -> string
+(** Collapsed-stack text, [frame;frame;... <value>] per non-zero line:
+    the format flamegraph.pl and speedscope ingest. *)
 
-val write_folded : string -> unit
+val write_folded : string -> stacks -> unit
+(** [write_folded path stacks] writes {!folded} [stacks] to [path]. *)
 
 val kind_summaries : unit -> (string * int * int * float) list
 (** Per event kind: (label, events, wall ns, allocated words). *)
 
 val pp_summary : Format.formatter -> unit -> unit
 (** Human-readable per-kind table plus queue histogram means. *)
-
-val fold_metrics : unit -> unit
-(** Fold per-layer wall/alloc counters into [Metrics] (done by {!stop};
-    exposed for tests). *)

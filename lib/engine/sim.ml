@@ -201,7 +201,7 @@ let create () =
   Span.attach_clock (fun () -> t.clock);
   Pcapng.attach_clock (fun () -> t.clock);
   let cumulative () = !time_base + t.clock in
-  Profile.attach_clock cumulative;
+  Selfprof.attach_clock cumulative;
   Timeseries.attach_clock cumulative;
   Recorder.attach_clock cumulative;
   (* queue introspection probes, registered after attach_clock so they

@@ -20,7 +20,7 @@ val now : t -> time
 val global_now : t -> time
 (** Cumulative virtual time: this instance's clock plus the final clocks
     of every simulator instance created before it. Monotone across
-    [create] calls; it is what [Profile]/[Timeseries]/[Recorder] see. *)
+    [create] calls; it is what [Selfprof]/[Timeseries]/[Recorder] see. *)
 
 val schedule_at : ?label:string -> t -> time -> (unit -> unit) -> handle
 (** [schedule_at sim t f] runs [f] when the clock reaches [t]. [t] must not be

@@ -3,10 +3,10 @@
    Trains coalesce per-cell events into per-PDU analytic schedules, which is
    only legal when nothing observes the simulation *between* cells. Trace,
    Span and Timeseries never need that — they synthesize their output from
-   committed plan records — so only four observers pin the slow path: pcap
+   committed plan records — so only three observers pin the slow path: pcap
    capture (a full capture needs every cell on the wire) unless PDU
    sampling is on, when only the sampled PDUs, which run per-cell anyway,
-   feed it; and the profilers and the flight recorder, which measure
+   feed it; and the profiler and the flight recorder, which measure
    event-grain behavior itself. Fault injectors and legacy loss are
    per-site and are checked at each link/NI, not here, so a --fault at one
    attachment point expands only the affected hop. *)
@@ -16,14 +16,13 @@ let force_per_cell v = forced := v
 let pcap_pins () = Pcapng.enabled () && not (Sample.active ())
 
 let any_pins () =
-  pcap_pins () || Profile.enabled () || Selfprof.enabled () || Recorder.armed ()
+  pcap_pins () || Selfprof.enabled () || Recorder.armed ()
 
 let pinned () =
   List.filter_map
     (fun (name, pins) -> if pins then Some name else None)
     [
       ("pcap", pcap_pins ());
-      ("profile", Profile.enabled ());
       ("selfprof", Selfprof.enabled ());
       ("recorder", Recorder.armed ());
     ]

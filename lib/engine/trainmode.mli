@@ -3,7 +3,7 @@
     [active ()] is true unless an enabled observer needs to see every
     cell: pcap capture without PDU sampling ([Pcapng.enabled () && not
     (Sample.active ())] — under sampling only the sampled PDUs, which run
-    per-cell anyway, are captured), the virtual and wall profilers, and
+    per-cell anyway, are captured), the profiler (both clocks), and
     the flight recorder. Trace, Span and Timeseries never pin: their
     output is synthesized from committed plan records. Per-site
     conditions — fault injectors, legacy loss, bounded queues — are

@@ -38,8 +38,8 @@ let charge_raw ?(layer = "other") t ns =
     if Trace.enabled () then Trace.complete Trace.Cpu layer ~dur:ns;
     (* attribute at the charge site, before the sleep, so time spent by
        other processes while this one sleeps stays out of this frame *)
-    if Profile.enabled () then
-      Profile.charge ~host:t.host ~frames:[ layer ] ns
+    if Selfprof.enabled () then
+      Selfprof.charge ~host:t.host ~frames:[ layer ] ns
   end;
   Proc.sleep t.sim ~time:ns
 

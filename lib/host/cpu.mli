@@ -6,7 +6,7 @@ type t
 
 val create : ?host:int -> Engine.Sim.t -> Machine.t -> t
 (** [host] identifies the simulated host this CPU belongs to (default 0);
-    it keys the per-host stacks of [Engine.Profile]. *)
+    it keys the per-host virtual-time stacks of [Engine.Selfprof]. *)
 
 val machine : t -> Machine.t
 val sim : t -> Engine.Sim.t

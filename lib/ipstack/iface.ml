@@ -54,17 +54,17 @@ let start_stack t =
          let rec loop () =
            (match Sync.Mailbox.recv t.mbox with
            | Tx (cost, ctx, pkt) ->
-               Profile.push ~host "iface.tx";
+               Selfprof.push ~host "iface.tx";
                Host.Cpu.charge ~layer:"ipstack" t.cpu cost;
                t.sent <- t.sent + 1;
                t.transmit ctx pkt;
-               Profile.pop ~host ()
+               Selfprof.pop ~host ()
            | Deliver pkt ->
-               Profile.push ~host "iface.rx";
+               Selfprof.push ~host "iface.rx";
                Host.Cpu.charge ~layer:"ipstack" t.cpu (t.rx_cost pkt);
                t.delivered <- t.delivered + 1;
                t.rx_handler pkt;
-               Profile.pop ~host ());
+               Selfprof.pop ~host ());
            loop ()
          in
          loop ()))

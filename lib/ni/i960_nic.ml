@@ -83,8 +83,8 @@ let gather (ep : Unet.Endpoint.t) (desc : Unet.Desc.tx) =
    root (never nested under whatever application frame happens to be open:
    the device runs asynchronously to the host CPU). *)
 let prof t stage cost =
-  if Profile.enabled () then
-    Profile.charge_root ~host:t.host
+  if Selfprof.enabled () then
+    Selfprof.charge_root ~host:t.host
       ~frames:[ "ni"; t.cfg.name; stage ]
       cost
 

@@ -93,8 +93,8 @@ let deliver t ?ctx vci payload =
    whatever application frame happens to be open (the receive path runs
    asynchronously to the application) *)
 let prof t stage cost =
-  if Profile.enabled () then
-    Profile.charge_root ~host:t.host
+  if Selfprof.enabled () then
+    Selfprof.charge_root ~host:t.host
       ~frames:[ "ni"; t.cfg.name; stage ]
       cost
 

@@ -167,7 +167,7 @@ let replies_sent t = t.reps_sent
 let retransmissions t = t.retx
 let duplicates_dropped t = t.dups
 
-(* Profile frames must live on the same host key the CPU charges use. *)
+(* Profiler frames must live on the same host key the CPU charges use. *)
 let phost t = Host.Cpu.host (Unet.cpu t.u)
 
 (* Directed flow key for the flight recorder; both ends build the same
@@ -311,7 +311,7 @@ let retransmit_unacked t (p : peer) =
             ("peer", Trace.Int p.p_rank);
             ("unacked", Trace.Int (Queue.length p.p_unacked));
           ];
-    Profile.push ~host:(phost t) "uam.retransmit";
+    Selfprof.push ~host:(phost t) "uam.retransmit";
     (* flow accounting (DESIGN.md §17): retransmits are charged to the
        channel's transmit VCI, i.e. the flow the duplicates ride on *)
     let retx_vci =
@@ -339,7 +339,7 @@ let retransmit_unacked t (p : peer) =
         ignore
           (Unet.send t.u t.ep (Unet.Desc.tx ?ctx ~chan:p.p_chan u.u_resend)))
       p.p_unacked;
-    Profile.pop ~host:(phost t) ();
+    Selfprof.pop ~host:(phost t) ();
     p.p_last_progress <- Sim.now (Unet.sim t.u)
   end
 
@@ -443,7 +443,7 @@ let send_seq ?parent t (p : peer) ~ty ~handler ~args ~payload =
       | Some pctx -> Span.child ~host:t.rank name pctx
       | None -> Span.root ~host:t.rank name)
   in
-  Profile.push ~host:(phost t) "uam.send";
+  Selfprof.push ~host:(phost t) "uam.send";
   Host.Cpu.charge ~layer:"uam" (Unet.cpu t.u) t.cfg.op_ns;
   if Buf.length payload > 0 then
     (* the copy from the source data structure into the transmit buffer *)
@@ -456,7 +456,7 @@ let send_seq ?parent t (p : peer) ~ty ~handler ~args ~payload =
   if Queue.is_empty p.p_unacked then
     p.p_last_progress <- Sim.now (Unet.sim t.u);
   let resend, buffer = unet_transmit ?ctx t p b in
-  Profile.pop ~host:(phost t) ();
+  Selfprof.pop ~host:(phost t) ();
   Queue.add
     { u_seq = seq; u_type = ty; u_resend = resend; u_buffer = buffer; u_ctx = ctx }
     p.p_unacked;
@@ -473,10 +473,10 @@ let send_seq ?parent t (p : peer) ~ty ~handler ~args ~payload =
   end
 
 let dispatch t ~src ?ctx d =
-  Profile.push ~host:(phost t) "uam.dispatch";
+  Selfprof.push ~host:(phost t) "uam.dispatch";
   (* pop via protect: a raising handler must not leave the frame open *)
   Fun.protect
-    ~finally:(fun () -> Profile.pop ~host:(phost t) ())
+    ~finally:(fun () -> Selfprof.pop ~host:(phost t) ())
     (fun () ->
       Host.Cpu.charge ~layer:"uam" (Unet.cpu t.u) t.cfg.op_ns;
       if Buf.length d.d_payload > 0 then

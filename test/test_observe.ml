@@ -220,7 +220,16 @@ let pinned_gauge () =
   Alcotest.(check (list string)) "nothing pins" [] (Trainmode.pinned ());
   Sample.configure ~n:0 ~seed:0;
   Pcapng.stop ();
-  Pcapng.clear ()
+  Pcapng.clear ();
+  (* one profiler, so one culprit for both clocks *)
+  Selfprof.start ();
+  checkb "profiler pins the slow path" false (Trainmode.active ());
+  Alcotest.(check (list string)) "selfprof named as the only culprit"
+    [ "selfprof" ] (Trainmode.pinned ());
+  checkb "trainmode_pinned{observer=selfprof} gauge set" true
+    (contains (Metrics.to_prometheus_string ()) "observer=\"selfprof\"");
+  Selfprof.stop ();
+  Selfprof.clear ()
 
 (* The gate runs per multi-cell tx descriptor and per received train, so
    the unpinned answer must not allocate. *)

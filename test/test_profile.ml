@@ -1,8 +1,9 @@
-(* Tests for the virtual-time attribution profiler and the timeseries
+(* Tests for the profiler's virtual-time clock and the timeseries
    sampler: frame nesting and charge attribution, disabled no-ops,
-   underflow accounting, the per-host root-inclusive-equals-elapsed
-   invariant over real experiment runs, event-driven sampling cadence,
-   high-water folding into metrics gauges, and the gauge_fn bridge. *)
+   underflow accounting, stop freezing the clocks, the
+   root-inclusive-equals-elapsed invariant of both clocks over real
+   experiment runs, event-driven sampling cadence, high-water folding
+   into metrics gauges, and the gauge_fn bridge. *)
 
 open Engine
 
@@ -10,26 +11,26 @@ let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 
 let with_profile f =
-  Profile.start ();
+  Selfprof.start ();
   Fun.protect
     ~finally:(fun () ->
-      Profile.stop ();
-      Profile.clear ())
+      Selfprof.stop ();
+      Selfprof.clear ())
     f
 
 (* --- frame mechanics ------------------------------------------------- *)
 
 let test_nesting () =
   with_profile @@ fun () ->
-  Profile.push "a";
-  Profile.charge 10;
-  Profile.push "b";
-  Profile.charge ~frames:[ "x" ] 5;
-  Profile.pop ();
-  Profile.pop ();
-  checki "stack balanced" 0 (Profile.depth ~host:0);
-  checki "no unmatched pops" 0 (Profile.unmatched_pops ());
-  let s = Profile.stacks () in
+  Selfprof.push "a";
+  Selfprof.charge 10;
+  Selfprof.push "b";
+  Selfprof.charge ~frames:[ "x" ] 5;
+  Selfprof.pop ();
+  Selfprof.pop ();
+  checki "stack balanced" 0 (Selfprof.depth ~host:0);
+  checki "no unmatched pops" 0 (Selfprof.unmatched_pops ());
+  let s = Selfprof.virtual_stacks () in
   checkb "charge lands in the open frame" true
     (List.assoc_opt [ "host0"; "a" ] s = Some 10);
   checkb "extra frames descend from the top" true
@@ -37,52 +38,80 @@ let test_nesting () =
 
 let test_charge_root () =
   with_profile @@ fun () ->
-  Profile.push ~host:3 "app";
+  Selfprof.push ~host:3 "app";
   (* device time must not nest under the open application frame *)
-  Profile.charge_root ~host:3 ~frames:[ "ni"; "dev" ] 7;
-  Profile.pop ~host:3 ();
-  let s = Profile.stacks () in
+  Selfprof.charge_root ~host:3 ~frames:[ "ni"; "dev" ] 7;
+  Selfprof.pop ~host:3 ();
+  let s = Selfprof.virtual_stacks () in
   checkb "charge_root ignores the stack" true
     (List.assoc_opt [ "host3"; "ni"; "dev" ] s = Some 7);
   checkb "nothing under the app frame" true
     (List.assoc_opt [ "host3"; "app"; "ni"; "dev" ] s = None)
 
 let test_disabled_noop () =
-  Profile.stop ();
-  Profile.clear ();
-  Profile.push "z";
-  Profile.charge 100;
-  Profile.pop ();
-  Profile.pop ();
-  checkb "nothing recorded while disabled" true (Profile.stacks () = []);
-  checki "pops while disabled are not underflows" 0 (Profile.unmatched_pops ())
+  Selfprof.stop ();
+  Selfprof.clear ();
+  Selfprof.push "z";
+  Selfprof.charge 100;
+  Selfprof.pop ();
+  Selfprof.pop ();
+  checkb "nothing recorded while disabled" true
+    (Selfprof.virtual_stacks () = []);
+  checki "pops while disabled are not underflows" 0 (Selfprof.unmatched_pops ())
 
 let test_underflow_counted () =
   with_profile @@ fun () ->
-  Profile.pop ();
-  Profile.pop ();
-  checki "underflows counted, never raised" 2 (Profile.unmatched_pops ())
+  Selfprof.pop ();
+  Selfprof.pop ();
+  checki "underflows counted, never raised" 2 (Selfprof.unmatched_pops ())
+
+(* [stop] freezes the virtual clock as it freezes the wall clock: a
+   simulation run after it must move neither the elapsed time nor the
+   host root's residual. *)
+let test_stop_freezes () =
+  let run_for ns f =
+    let sim = Sim.create () in
+    ignore (Sim.schedule sim ~delay:ns f);
+    Sim.run sim
+  in
+  with_profile @@ fun () ->
+  run_for 100 (fun () -> Selfprof.charge ~frames:[ "work" ] 40);
+  Selfprof.stop ();
+  let folded = Selfprof.(folded (virtual_stacks ())) in
+  let wall = Selfprof.elapsed_wall_ns () in
+  checki "elapsed at stop" 100 (Selfprof.elapsed ());
+  checkb "host root holds the residual" true
+    (List.assoc_opt [ "host0" ] (Selfprof.virtual_stacks ()) = Some 60);
+  run_for 50 ignore;
+  checki "elapsed frozen by stop" 100 (Selfprof.elapsed ());
+  checki "wall elapsed frozen by stop" wall (Selfprof.elapsed_wall_ns ());
+  Alcotest.(check string)
+    "folded output frozen by stop" folded
+    Selfprof.(folded (virtual_stacks ()))
 
 (* --- the root-inclusive invariant over real runs ---------------------- *)
 
 (* Per host the exclusive times over all stacks must sum to the elapsed
    virtual time: the synthetic root absorbs idle/unattributed time, so the
-   root's inclusive time is the run's virtual duration by construction. *)
+   root's inclusive time is the run's virtual duration by construction.
+   The same run's wall tree must sum to the elapsed wall time within 1%:
+   every transition charges the interval since the previous one to
+   exactly one node, and the [engine] root absorbs event-loop time. *)
 let balanced_run name () =
   match Experiments.Registry.find name with
   | None -> Alcotest.failf "unknown experiment %s" name
   | Some e ->
       with_profile @@ fun () ->
       ignore (e.run ~quick:true);
-      let hosts = Profile.hosts () in
+      let hosts = Selfprof.hosts () in
       checkb "profiled at least one host" true (hosts <> []);
       List.iter
         (fun h ->
           checki (Printf.sprintf "host %d stack balanced" h) 0
-            (Profile.depth ~host:h))
+            (Selfprof.depth ~host:h))
         hosts;
-      checki "no unmatched pops" 0 (Profile.unmatched_pops ());
-      let el = Profile.elapsed () in
+      checki "no unmatched pops" 0 (Selfprof.unmatched_pops ());
+      let el = Selfprof.elapsed () in
       checkb "virtual time elapsed" true (el > 0);
       let sums = Hashtbl.create 8 in
       List.iter
@@ -92,12 +121,23 @@ let balanced_run name () =
               Hashtbl.replace sums root
                 ((Option.value ~default:0 (Hashtbl.find_opt sums root)) + self)
           | [] -> ())
-        (Profile.stacks ());
+        (Selfprof.virtual_stacks ());
       checkb "every host produced stacks" true (Hashtbl.length sums > 0);
       Hashtbl.iter
         (fun root sum ->
           checki (Printf.sprintf "%s root inclusive = elapsed" root) el sum)
-        sums
+        sums;
+      Selfprof.stop ();
+      let wall = Selfprof.elapsed_wall_ns () in
+      checkb "wall time elapsed" true (wall > 0);
+      let stacks = Selfprof.stacks () in
+      let sum = List.fold_left (fun acc (_, self) -> acc + self) 0 stacks in
+      let drift = abs (sum - wall) in
+      if float_of_int drift > 0.01 *. float_of_int wall then
+        Alcotest.failf "wall folded sum %d vs elapsed %d (drift %d ns > 1%%)"
+          sum wall drift;
+      checkb "no empty wall path" true
+        (List.for_all (fun (path, _) -> path <> []) stacks)
 
 (* --- timeseries sampling --------------------------------------------- *)
 
@@ -197,6 +237,8 @@ let () =
             test_charge_root;
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
           Alcotest.test_case "underflow counted" `Quick test_underflow_counted;
+          Alcotest.test_case "stop freezes both clocks" `Quick
+            test_stop_freezes;
         ] );
       ( "invariant",
         [

@@ -1,10 +1,11 @@
-(* Tests for the wall-clock self-profiler, the event-queue introspection
-   and the direction-aware bench gates: the root-inclusive-equals-elapsed
-   wall invariant over a real experiment, allocation attribution without
-   double counting across nested frames, --profile/--selfprof
-   composition through one push/pop site, event-kind windows, queue
-   lifecycle counters and histograms, the queue-depth probe, the
-   enginebench snapshot schema, and benchdiff's gating rules. *)
+(* Tests for the profiler's wall clock, the event-queue introspection
+   and the direction-aware bench gates: allocation attribution without
+   double counting across nested frames, both clocks fed by one start
+   and one push/pop, event-kind windows, queue lifecycle counters and
+   histograms, the queue-depth probe, the enginebench snapshot schema,
+   and benchdiff's gating rules. The wall root-inclusive-equals-elapsed
+   invariant is checked here over fig3 alone, and in test_profile on the
+   same fig3/fig5 runs as the virtual one. *)
 
 open Engine
 
@@ -29,22 +30,19 @@ let test_wall_folded_sum () =
   match Experiments.Registry.find "fig3" with
   | None -> Alcotest.fail "fig3 experiment missing"
   | Some e ->
-      Selfprof.start ();
+      with_selfprof @@ fun () ->
       ignore (e.run ~quick:true);
       Selfprof.stop ();
       let el = Selfprof.elapsed_wall_ns () in
       checkb "wall time elapsed" true (el > 0);
-      let sum =
-        List.fold_left (fun acc (_, self) -> acc + self) 0 (Selfprof.stacks ())
-      in
+      let stacks = Selfprof.stacks () in
+      let sum = List.fold_left (fun acc (_, self) -> acc + self) 0 stacks in
       let drift = abs (sum - el) in
       if float_of_int drift > 0.01 *. float_of_int el then
         Alcotest.failf "folded sum %d vs elapsed %d (drift %d ns > 1%%)" sum el
           drift;
-      checki "no unmatched exits counted as frames" 0
-        (List.length
-           (List.filter (fun (path, _) -> path = []) (Selfprof.stacks ())));
-      Selfprof.clear ()
+      checki "no empty path" 0
+        (List.length (List.filter (fun (path, _) -> path = []) stacks))
 
 (* Allocation deltas are charged at transitions, so a nested frame's
    words never also land in its parent: allocate a known number of words
@@ -57,12 +55,12 @@ let test_alloc_no_double_count () =
   Gc.full_major ();
   with_selfprof @@ fun () ->
   let keep = ref [] in
-  Selfprof.enter "outer";
+  Selfprof.push "outer";
   keep := Array.make 100_000 0. :: !keep;
-  Selfprof.enter "inner";
+  Selfprof.push "inner";
   keep := Array.make 200_000 0. :: !keep;
-  Selfprof.exit_frame ();
-  Selfprof.exit_frame ();
+  Selfprof.pop ();
+  Selfprof.pop ();
   ignore (Sys.opaque_identity !keep);
   let alloc = Selfprof.alloc_stacks () in
   let words path =
@@ -75,24 +73,18 @@ let test_alloc_no_double_count () =
   if not (inner >= 200_000 && inner < 260_000) then
     Alcotest.failf "inner charged %d words, expected ~200k" inner
 
-(* One Profile.push feeds both profilers: with both enabled, a frame
-   shows up in the virtual-time stacks (with its charge) and in the
-   wall-time tree (as a node), from a single instrumentation site. *)
+(* One start, one push/pop, two clocks: a frame shows up in the
+   virtual-time stacks (with its charge) and in the wall-time tree (as a
+   node), from a single instrumentation site. *)
 let test_compose_with_profile () =
-  Profile.start ();
-  Selfprof.start ();
-  Fun.protect ~finally:(fun () ->
-      Selfprof.stop ();
-      Selfprof.clear ();
-      Profile.stop ();
-      Profile.clear ())
-  @@ fun () ->
-  Profile.push "shared";
-  Profile.charge 11;
-  Profile.pop ();
-  checkb "virtual profiler saw the frame" true
-    (List.assoc_opt [ "host0"; "shared" ] (Profile.stacks ()) = Some 11);
-  checkb "wall profiler saw the same frame" true
+  with_selfprof @@ fun () ->
+  Selfprof.push "shared";
+  Selfprof.charge 11;
+  Selfprof.pop ();
+  checkb "virtual clock saw the frame" true
+    (List.assoc_opt [ "host0"; "shared" ] (Selfprof.virtual_stacks ())
+    = Some 11);
+  checkb "wall clock saw the same frame" true
     (List.mem_assoc [ "engine"; "shared" ] (Selfprof.stacks ()))
 
 (* Event windows: a labeled event runs under its ev:<label> kind node,
@@ -103,9 +95,11 @@ let test_event_windows () =
   let sim = Sim.create () in
   ignore
     (Sim.schedule ~label:"widget" sim ~delay:0 (fun () ->
-         Profile.push "work";
-         Profile.pop ()));
-  ignore (Sim.schedule ~label:"leaky" sim ~delay:1 (fun () -> Profile.push "open"));
+         Selfprof.push "work";
+         Selfprof.pop ()));
+  ignore
+    (Sim.schedule ~label:"leaky" sim ~delay:1 (fun () ->
+         Selfprof.push "open"));
   Sim.run sim;
   let paths = List.map fst (Selfprof.stacks ()) in
   checkb "kind node created" true (List.mem [ "engine"; "ev:widget" ] paths);
