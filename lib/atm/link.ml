@@ -1,18 +1,15 @@
 open Engine
 
-(* Planned (analytic) occupancy of the wire by one train or bridged cell on
-   the fast path (DESIGN.md §14): per-cell acceptance and serialization-start
-   instants computed up front, with drop / queue-high-water side effects kept
-   as time-stamped entries that lazily fold into the real counters no later
+(* Planned (analytic) occupancy of the wire by one train on the fast path
+   (DESIGN.md §14): per-cell acceptance and serialization-start instants
+   computed up front, with drop / queue-high-water side effects kept as
+   time-stamped entries that lazily fold into the real counters no later
    than any observer reads them. [h_live] shrinks when the owning train is
    truncated back to the per-cell path. *)
 type hop = {
   mutable h_live : int;  (* cells still riding this plan *)
   h_accepts : Sim.time array;  (* p_i: instant cell i enters the queue *)
   h_starts : Sim.time array;  (* s_i: instant cell i starts serializing *)
-  h_fold_sent : bool;
-    (* trains fold sent/delivery analytically; bridged cells keep a real
-       delivery event that does its own accounting *)
   mutable h_drops : Sim.time array;  (* refused-attempt instants, ascending *)
   mutable h_ndrops : int;
   mutable h_hw_t : Sim.time array;  (* queue high-water marks at acceptance *)
@@ -32,6 +29,10 @@ type t = {
   queue_capacity : int;
   queue : Cell.t Queue.t;
   mutable transmitting : bool;
+    (* a real cell is on the wire, or the queue head waits for planned
+       cells to clear it *)
+  mutable wait_until : Sim.time;
+    (* the planned tail the waiting queue head starts at; -1 if none *)
   mutable receiver : (Cell.t -> unit) option;
   mutable loss : (Rng.t * float) option;
   mutable fault : Fault.t option;
@@ -46,11 +47,11 @@ type t = {
   mutable a_tail : Sim.time;  (* wire busy-until including planned cells *)
   mutable on_interfere : (unit -> unit) option;
     (* splits the chain that owns pending uplink acceptances before a
-       per-cell send threads through the analytic state *)
+       per-cell send is judged against the analytic state *)
   mutable on_accept : (unit -> unit) option;
-    (* fired for every real cell accepted by [send] (legacy or bridged),
-       never for planned train commits — the network's per-ingress
-       in-flight gate counts real cells in with it *)
+    (* fired for every real cell accepted by [send] (put on the wire or
+       queued), never for planned train commits — the network's
+       per-ingress in-flight gate counts real cells in with it *)
 }
 
 (* Apply every planned side effect with a timestamp <= [now] — the same
@@ -59,12 +60,11 @@ type t = {
    exact), from the counter accessors, and before analytic queries. *)
 let hop_done t now h =
   h.f_busy >= h.h_live
-  && (not h.h_fold_sent || h.f_sent >= h.h_live)
+  && h.f_sent >= h.h_live
   && h.f_drop >= h.h_ndrops
   && h.f_hw >= h.h_nhw
   (* even with every side effect folded, the last cell occupies the wire
-     until start + cell_time: retiring earlier would let a legacy send
-     overlap it (send only consults [a_tail] while hops are live) *)
+     until start + cell_time, and the plan stays pending until then *)
   && (h.h_live = 0 || h.h_starts.(h.h_live - 1) + t.cell_time <= now)
 
 let fold_hop t now h =
@@ -77,14 +77,11 @@ let fold_hop t now h =
     t.busy_ns <- t.busy_ns + t.cell_time;
     h.f_busy <- h.f_busy + 1
   done;
-  if h.h_fold_sent then
-    while
-      h.f_sent < h.h_live && h.h_starts.(h.f_sent) + t.cell_time <= now
-    do
-      t.sent <- t.sent + 1;
-      Metrics.Counter.inc t.m_sent;
-      h.f_sent <- h.f_sent + 1
-    done;
+  while h.f_sent < h.h_live && h.h_starts.(h.f_sent) + t.cell_time <= now do
+    t.sent <- t.sent + 1;
+    Metrics.Counter.inc t.m_sent;
+    h.f_sent <- h.f_sent + 1
+  done;
   while h.f_hw < h.h_nhw && h.h_hw_t.(h.f_hw) <= now do
     Metrics.Gauge.set_max t.m_queue_hw h.h_hw_v.(h.f_hw);
     h.f_hw <- h.f_hw + 1
@@ -159,6 +156,7 @@ let create sim ?(queue_capacity = max_int) ?(metrics_labels = []) ~bandwidth_mbp
       queue_capacity;
       queue = Queue.create ();
       transmitting = false;
+      wait_until = -1;
       receiver = None;
       loss = None;
       fault = None;
@@ -211,9 +209,10 @@ let queue_length t =
   let n = Queue.length t.queue in
   if t.hops = [] then n else n + analytic_queued t ~at:(Sim.now t.sim)
 
-let busy t = t.transmitting || t.a_tail > Sim.now t.sim
 let quiet t = (not t.transmitting) && Queue.is_empty t.queue
-let pending_plan t = t.hops <> []
+let pending_plan t =
+  fold_to t (Sim.now t.sim);
+  t.hops <> []
 let set_interfere t f = t.on_interfere <- Some f
 let clear_interfere t = t.on_interfere <- None
 let set_on_accept t f = t.on_accept <- Some f
@@ -417,14 +416,13 @@ let plan_drops pl = pl.pl_drops
 let plan_drop_cells pl =
   Array.map (count_le pl.pl_accepts (Array.length pl.pl_accepts)) pl.pl_drops
 
-let commit_plan t pl ~fold_sent =
+let commit_plan t pl =
   let n = Array.length pl.pl_accepts in
   let h =
     {
       h_live = n;
       h_accepts = pl.pl_accepts;
       h_starts = pl.pl_starts;
-      h_fold_sent = fold_sent;
       h_drops = pl.pl_drops;
       h_ndrops = Array.length pl.pl_drops;
       h_hw_t = pl.pl_hw_t;
@@ -577,72 +575,58 @@ let rec transmit t cell =
   t.busy_ns <- t.busy_ns + t.cell_time;
   Sim.schedule_drop ~label:"link.tx_cell" t.sim ~delay:t.cell_time (fun () ->
       deliver t cell;
-      match Queue.take_opt t.queue with
-      | Some next -> transmit t next
-      | None -> t.transmitting <- false)
+      transmit_next t)
 
-(* A per-cell send while planned (analytic) state is pending on this link:
-   the cell threads through the plan instead of the legacy queue. Any chain
-   still accepting on this link is split first, so by the time the cell is
-   judged, every pending planned cell was accepted strictly earlier and FIFO
-   order is exactly arrival order. Same-instant completions resolve
-   completion-first (see DESIGN.md §14 on this tie). Serialization start and
-   occupancy ride a singleton hop; delivery stays a real event so loss-free
-   forward accounting (sent, trace, span) runs on the per-cell path. *)
-let bridge_send t (cell : Cell.t) =
+and transmit_next t =
+  match Queue.take_opt t.queue with
+  | Some next -> transmit t next
+  | None -> t.transmitting <- false
+
+let end_wait t =
+  t.wait_until <- -1;
+  transmit_next t
+
+(* The one per-cell send path. A cell finding the wire free starts
+   serializing at once; otherwise it joins the FIFO. Planned train cells
+   hold the wire until [a_tail], ahead of every real cell: any chain still
+   accepting on this link is split first, so each pending planned cell was
+   accepted strictly earlier and FIFO order is arrival order. The first
+   real cell queued behind them starts at the planned tail and the
+   ordinary transmit chain carries the rest. Ties resolve completion
+   first (DESIGN.md §14): a tail at exactly [now] leaves the wire free,
+   and a queue head due at [now] has already started. *)
+let send t cell =
+  if t.receiver = None then invalid_arg "Link.send: no receiver attached";
   let now = Sim.now t.sim in
-  (match t.on_interfere with Some f -> f () | None -> ());
-  let tail = max t.a_tail now in
-  let queued = analytic_queued t ~at:now + Queue.length t.queue in
-  if tail > now && queued >= t.queue_capacity then begin
-    drop_cell t ~kind:"queue_full" cell;
-    false
-  end
-  else begin
-    let start = if tail > now then tail else now in
-    if start > now then
-      Metrics.Gauge.set_max t.m_queue_hw (float_of_int (queued + 1))
-    else if cell.Cell.eop then Span.mark cell.Cell.ctx Span.Link_tx;
-    let pl =
-      {
-        pl_accepts = [| now |];
-        pl_starts = [| start |];
-        pl_drops = [||];
-        pl_hw_t = [||];
-        pl_hw_v = [||];
-        pl_qafter = [||];
-      }
-    in
-    ignore (commit_plan t pl ~fold_sent:false);
-    Sim.schedule_drop ~label:"link.tx_cell" t.sim
-      ~delay:(start + t.cell_time - now)
-      (fun () -> deliver t cell);
-    accepted t;
-    true
-  end
-
-let legacy_send t cell =
-  if t.transmitting then
-    if Queue.length t.queue >= t.queue_capacity then begin
+  if t.hops <> [] then begin
+    fold_to t now;
+    if t.hops <> [] then
+      match t.on_interfere with Some f -> f () | None -> ()
+  end;
+  if t.wait_until >= 0 && t.wait_until <= now then end_wait t;
+  if t.transmitting || t.a_tail > now then begin
+    (* planned and real cells both occupy the queue *)
+    let queued = queue_length_at t ~at:now in
+    if queued >= t.queue_capacity then begin
       drop_cell t ~kind:"queue_full" cell;
       false
     end
     else begin
       Queue.add cell t.queue;
-      Metrics.Gauge.set_max t.m_queue_hw (float_of_int (Queue.length t.queue));
+      Metrics.Gauge.set_max t.m_queue_hw (float_of_int (queued + 1));
+      if not t.transmitting then begin
+        let tail = t.a_tail in
+        t.transmitting <- true;
+        t.wait_until <- tail;
+        Sim.schedule_drop ~label:"link.tx_cell" t.sim ~delay:(tail - now)
+          (fun () -> if t.wait_until = tail then end_wait t)
+      end;
       accepted t;
       true
     end
+  end
   else begin
     transmit t cell;
     accepted t;
     true
-  end
-
-let send t cell =
-  if t.receiver = None then invalid_arg "Link.send: no receiver attached";
-  if t.hops = [] then legacy_send t cell
-  else begin
-    fold_to t (Sim.now t.sim);
-    if t.hops = [] then legacy_send t cell else bridge_send t cell
   end

@@ -34,9 +34,13 @@ val set_fault : t -> Engine.Fault.t -> unit
 
 val send : t -> Cell.t -> bool
 (** Enqueue a cell for transmission. Returns [false] if it was dropped
-    because the transmit queue was full. Raises [Invalid_argument] if no
-    receiver is attached (mis-wired topology, caught at the first send
-    rather than mid-flight). *)
+    because the transmit queue was full; planned train cells waiting to
+    serialize count against the capacity like real ones. A cell sent
+    while planned cells hold the wire queues behind them and starts at
+    the planned tail; a tail at exactly the send instant counts as free
+    (completion first). Raises [Invalid_argument] if no receiver is
+    attached (mis-wired topology, caught at the first send rather than
+    mid-flight). *)
 
 val cell_time : t -> Engine.Sim.time
 (** Serialization time of one 53-byte cell at this link's bandwidth. *)
@@ -52,7 +56,7 @@ val cells_offered : t -> int
     point, the denominator for loss-rate arithmetic. *)
 
 val queue_length : t -> int
-(** Legacy queue plus cells planned-but-not-yet-serializing on the train
+(** Real queue plus cells planned-but-not-yet-serializing on the train
     fast path. *)
 
 val queue_length_at : t -> at:Engine.Sim.time -> int
@@ -67,8 +71,6 @@ val busy_ns_at : t -> at:Engine.Sim.time -> int
     serialization start at or before [at], real or planned, independent
     of how far the lazy fold cursors have advanced. *)
 
-val busy : t -> bool
-
 val quiet : t -> bool
 (** No real cell on the wire or in the transmit queue. Planned (train)
     state is ignored: committed plans coexist with new plans, so a link
@@ -81,9 +83,9 @@ val quiet : t -> bool
     serialization starts and high-water marks are computed up front against
     the link's planned state and folded lazily into the real counters no
     later than any observer reads them. Plans refuse — returning the caller
-    to the per-cell path — whenever legacy traffic is in flight, a loss
-    process or fault injector is attached, or any same-instant decision
-    would depend on event-heap order. *)
+    to the per-cell path — whenever a real cell is on the wire or queued,
+    a loss process or fault injector is attached, or any same-instant
+    decision would depend on event-heap order. *)
 
 type plan
 type hop
@@ -129,25 +131,28 @@ val plan_drop_cells : plan -> int array
 (** For each of {!plan_drops}, the index of the cell whose attempt was
     refused. *)
 
-val commit_plan : t -> plan -> fold_sent:bool -> hop
-(** Install a plan. With [fold_sent], delivered-cell accounting folds
-    analytically (trains); without, the caller keeps real delivery events
-    (bridged per-cell sends). *)
+val commit_plan : t -> plan -> hop
+(** Install a plan: its busy time, sent cells, drops and high-water marks
+    fold analytically; the caller delivers the train itself. *)
 
 val truncate_hop : t -> hop -> keep:int -> now:Engine.Sim.time -> unit
 (** The owning train was cut back to [keep] cells: discard planned entries
     at or after [now] (the per-cell path re-performs them for real). *)
 
 val pending_plan : t -> bool
+(** Some committed plan still holds a cell or an unfolded side effect;
+    real cells queued behind it never count. *)
 
 val set_interfere : t -> (unit -> unit) -> unit
-(** Callback run before a per-cell send threads through pending planned
-    state; the owning NI uses it to split a chain still accepting here. *)
+(** Callback run before a per-cell {!send} while planned cells are
+    pending, so the cell is judged against plans whose every cell was
+    accepted strictly earlier; the owning NI uses it to split a chain
+    still accepting here. *)
 
 val clear_interfere : t -> unit
 
 val set_on_accept : t -> (unit -> unit) -> unit
 (** Callback fired once per real cell {!send} accepts (queued or put on
-    the wire, legacy or bridged) — never for planned train commits.
+    the wire) — never for planned train commits.
     The network wires it on every switch-ingress link to count cells into
     the per-ingress in-flight gate (DESIGN.md §14/§16). *)

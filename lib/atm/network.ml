@@ -212,7 +212,7 @@ type t = {
        While any counter along a train's hop chain is nonzero, commits
        refuse — a straggler still crossing that stage would reach the
        next link during the planned window and be queued after entries it
-       precedes in wire order (bridge_send appends at the planned tail).
+       precedes in wire order (a real send waits behind the planned tail).
        Cells killed by an ingress loss or fault site never settle and pin
        the counter, which only disables commits through a stage whose
        ingress link refuses plans anyway. *)
@@ -970,13 +970,11 @@ let commit_train_gen t ~host ~train ~plan_uplink ~on_interfere =
             match plan_stages t uplink (Link.plan_starts up_plan) hops [] with
             | None -> None
             | Some stages ->
-                let up_hop = Link.commit_plan uplink up_plan ~fold_sent:true in
+                let up_hop = Link.commit_plan uplink up_plan in
                 let commits =
                   List.map
                     (fun st ->
-                      let lhop =
-                        Link.commit_plan st.st_link st.st_plan ~fold_sent:true
-                      in
+                      let lhop = Link.commit_plan st.st_link st.st_plan in
                       ( st,
                         lhop,
                         Switch.commit_plan t.switches.(st.st_sw)

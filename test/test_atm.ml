@@ -255,6 +255,96 @@ let test_link_loss_injection () =
   checki "all lost" 0 !got;
   checki "losses counted" 10 (Atm.Link.cells_dropped l)
 
+(* Real cells sent while a committed train holds the wire queue behind it
+   in the link's own FIFO: the plan retires once its last cell has left
+   the wire, each real cell is delivered at the per-cell instant, and the
+   capacity check counts planned and real queued cells alike. *)
+let test_link_real_cells_behind_plan () =
+  let sim = Sim.create () in
+  let l = mk_link ~queue_capacity:4 sim in
+  let ct = Atm.Link.cell_time l and prop = Atm.Link.propagation l in
+  let arrivals = ref [] in
+  Atm.Link.set_receiver l (fun c ->
+      arrivals := (c.Atm.Cell.vci, Sim.now sim) :: !arrivals);
+  (* four planned cells, serializing back to back from 0 *)
+  let pl =
+    match
+      Atm.Link.plan_feed l ~arrivals:[| 0; 1; 2; 3 |] ~sched_lead:0
+        ~refuse_occ:max_int
+    with
+    | Some pl -> pl
+    | None -> Alcotest.fail "plan refused on an idle link"
+  in
+  ignore (Atm.Link.commit_plan l pl : Atm.Link.hop);
+  let tail = 4 * ct in
+  let sent = ref [] and pending = ref [] in
+  let send_at at vci =
+    Sim.schedule_drop sim ~delay:at (fun () ->
+        sent := (vci, Atm.Link.send l (one_cell vci)) :: !sent)
+  in
+  (* planned cells 2 and 3 are queued at 5000: two real cells fit, the
+     third finds 2 + 2 = capacity queued *)
+  send_at 5_000 1;
+  send_at 5_000 2;
+  send_at 5_000 3;
+  (* more real cells while the wire stays busy, past the planned tail *)
+  send_at (tail + 100) 4;
+  send_at (tail + ct + 100) 5;
+  Sim.schedule_drop sim ~delay:(tail + 200) (fun () ->
+      pending := Atm.Link.pending_plan l :: !pending);
+  Sim.run sim;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.bool))
+    "the send at capacity is dropped"
+    [ (1, true); (2, true); (3, false); (4, true); (5, true) ]
+    (List.rev !sent);
+  checki "drop counted" 1 (Atm.Link.cells_dropped l);
+  check (Alcotest.list Alcotest.bool)
+    "plan retired once its last cell left the wire" [ false ] !pending;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "delivered at tail + k * cell_time + propagation"
+    (List.mapi
+       (fun k vci -> (vci, tail + ((k + 1) * ct) + prop))
+       [ 1; 2; 4; 5 ])
+    (List.rev !arrivals);
+  checki "planned and real cells sent" 8 (Atm.Link.cells_sent l)
+
+(* Ties at the planned tail resolve completion first: a send firing at
+   exactly the tail finds the real cell queued behind the plan already
+   serializing, even though its start event was scheduled later. *)
+let test_link_tail_tie_completion_first () =
+  let sim = Sim.create () in
+  let l = mk_link ~queue_capacity:1 sim in
+  let ct = Atm.Link.cell_time l and prop = Atm.Link.propagation l in
+  let arrivals = ref [] in
+  Atm.Link.set_receiver l (fun c ->
+      arrivals := (c.Atm.Cell.vci, Sim.now sim) :: !arrivals);
+  let pl =
+    match
+      Atm.Link.plan_feed l ~arrivals:[| 0; 1 |] ~sched_lead:0
+        ~refuse_occ:max_int
+    with
+    | Some pl -> pl
+    | None -> Alcotest.fail "plan refused on an idle link"
+  in
+  ignore (Atm.Link.commit_plan l pl : Atm.Link.hop);
+  let tail = 2 * ct in
+  let sent = ref [] in
+  let send vci = sent := (vci, Atm.Link.send l (one_cell vci)) :: !sent in
+  (* scheduled first, fires at the tail *)
+  Sim.schedule_drop sim ~delay:tail (fun () -> send 2);
+  Sim.schedule_drop sim ~delay:(ct + 1) (fun () -> send 1);
+  Sim.run sim;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.bool))
+    "both accepted" [ (1, true); (2, true) ] (List.rev !sent);
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "served from the tail"
+    [ (1, tail + ct + prop); (2, tail + (2 * ct) + prop) ]
+    (List.rev !arrivals)
+
 (* --- Switch -------------------------------------------------------- *)
 
 let test_switch_routing () =
@@ -400,6 +490,10 @@ let () =
           Alcotest.test_case "fifo + serialization" `Quick test_link_fifo_and_serialization;
           Alcotest.test_case "queue overflow" `Quick test_link_queue_overflow;
           Alcotest.test_case "loss injection" `Quick test_link_loss_injection;
+          Alcotest.test_case "real cells wait behind a plan" `Quick
+            test_link_real_cells_behind_plan;
+          Alcotest.test_case "tail tie: completion first" `Quick
+            test_link_tail_tie_completion_first;
         ] );
       ( "switch",
         [
