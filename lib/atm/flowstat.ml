@@ -67,6 +67,7 @@ type hopstat = {
 }
 
 type flow = {
+  fl_id : int; (* registration index: the sketch's immutable key *)
   fl_src : int;
   fl_dst : int;
   fl_vcis : int array;
@@ -78,8 +79,9 @@ type t = {
   cfg : config;
   by_key : (int * int, flow) Hashtbl.t; (* (src, uplink VCI) *)
   mutable order : flow list; (* reversed registration order *)
+  mutable n_flows : int;
   mutable n_exact : int;
-  topk : flow Topk.t;
+  topk : int Topk.t;
 }
 
 let create () =
@@ -92,6 +94,7 @@ let create () =
     cfg;
     by_key = Hashtbl.create 64;
     order = [];
+    n_flows = 0;
     n_exact = 0;
     topk = Topk.create ~k:cfg.k;
   }
@@ -131,9 +134,19 @@ let register t ~src ~dst ~vcis =
              }))
     end
   in
-  let fl = { fl_src = src; fl_dst = dst; fl_vcis = vcis; fl_label = label; fl_exact = exact } in
+  let fl =
+    {
+      fl_id = t.n_flows;
+      fl_src = src;
+      fl_dst = dst;
+      fl_vcis = vcis;
+      fl_label = label;
+      fl_exact = exact;
+    }
+  in
   Hashtbl.replace t.by_key (src, vcis.(0)) fl;
   t.order <- fl :: t.order;
+  t.n_flows <- t.n_flows + 1;
   fl
 
 let count t fl ~hop ~cells =
@@ -142,7 +155,7 @@ let count t fl ~hop ~cells =
       Metrics.Counter.add hops.(hop).hs_cells cells;
       Metrics.Counter.add hops.(hop).hs_bytes (cells * Cell.payload_size)
   | _ -> ());
-  if hop = 0 then Topk.offer t.topk fl (cells * Cell.payload_size)
+  if hop = 0 then Topk.offer t.topk fl.fl_id (cells * Cell.payload_size)
 
 let drop ?(cells = 1) _t fl ~hop =
   match fl.fl_exact with
@@ -174,4 +187,7 @@ let flow_hops fl =
 
 let flows t = List.rev t.order
 let exact_flows t = t.n_exact
-let top t = Topk.entries t.topk
+
+let top t =
+  let by_id = Array.of_list (flows t) in
+  List.map (fun (id, est, err) -> (by_id.(id), est, err)) (Topk.entries t.topk)

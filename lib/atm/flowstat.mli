@@ -22,6 +22,11 @@
 
 module Topk : sig
   type 'a t
+  (** Keys are hashed and compared structurally, so a key must not
+      mutate while it is in the sketch: a key that changes after
+      insertion misses its own entry, and every later offer takes the
+      eviction path. The per-fabric sketch is keyed by flow registration
+      index. *)
 
   val create : k:int -> 'a t
 

@@ -3,9 +3,11 @@
 
     Instruments are deduplicated by (family name, label set): registering
     the same pair again returns the existing instrument. Label order does
-    not matter. {!reset} zeroes all values but keeps every registration, so
-    handles held by long-lived modules remain valid and declared families
-    keep appearing in dumps even at zero. *)
+    not matter. Registration and {!counter_value} are O(1) per call, and
+    dumps list each family's samples in registration order. {!reset}
+    zeroes all values but keeps every registration, so handles held by
+    long-lived modules remain valid and declared families keep appearing
+    in dumps even at zero. *)
 
 type labels = (string * string) list
 

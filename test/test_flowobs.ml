@@ -118,6 +118,45 @@ let flowstat_exact () =
   | Some f -> Alcotest.(check int) "find returns f1" 3 (Atm.Flowstat.flow_dst f)
   | None -> Alcotest.fail "find missed a registered flow"
 
+(* Exact flows carry mutable per-hop counters, and hop-0 counting bumps
+   them right before the sketch offer: a sketch keyed by the flow record
+   itself would miss its own entry on every offer, evict on each one and
+   grow without bound. Keyed by flow id it stays at k entries. *)
+let flowstat_topk_bounded () =
+  Atm.Flowstat.configure ~exact_flows:8 ~k:4 ();
+  Fun.protect ~finally:Atm.Flowstat.disable @@ fun () ->
+  let fs = Atm.Flowstat.create () in
+  let flows =
+    Array.init 8 (fun i ->
+        Atm.Flowstat.register fs ~src:i ~dst:(7 - i)
+          ~vcis:[| 32 + i; 64 + i; 96 + i |])
+  in
+  let true_bytes = Array.make 8 0 in
+  for round = 0 to 199 do
+    (* flow 0 carries half the cells; the rest share the other half *)
+    let i = if round land 1 = 0 then 0 else 1 + (round / 2 mod 7) in
+    let cells = 1 + (round mod 3) in
+    Atm.Flowstat.count fs flows.(i) ~hop:0 ~cells;
+    true_bytes.(i) <- true_bytes.(i) + (cells * Atm.Cell.payload_size)
+  done;
+  let top = Atm.Flowstat.top fs in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most k entries (got %d)" (List.length top))
+    true
+    (List.length top <= 4);
+  let labels = List.map (fun (fl, _, _) -> Atm.Flowstat.flow_label fl) top in
+  Alcotest.(check int) "no flow listed twice" (List.length labels)
+    (List.length (List.sort_uniq String.compare labels));
+  match List.find_opt (fun (fl, _, _) -> fl == flows.(0)) top with
+  | None -> Alcotest.fail "the heaviest flow is missing from the top-K"
+  | Some (_, est, err) ->
+      let truth = true_bytes.(0) in
+      Alcotest.(check bool)
+        (Printf.sprintf "est %d >= true %d >= est - err %d" est truth
+           (est - err))
+        true
+        (est >= truth && truth >= est - err)
+
 (* --- hostile label values in the metric dumps -------------------------- *)
 
 (* Flow labels carry "src:dst:vci0,vci1" strings; colons and commas are
@@ -334,6 +373,8 @@ let () =
       ( "flowstat",
         [
           Alcotest.test_case "exact per-hop tables" `Quick flowstat_exact;
+          Alcotest.test_case "sketch stays at k entries" `Quick
+            flowstat_topk_bounded;
           Alcotest.test_case "metric dump escaping" `Quick metric_escaping;
         ] );
       ( "pathrec",

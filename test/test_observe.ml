@@ -104,6 +104,44 @@ let sketch_bounds () =
        false
      with _ -> true)
 
+(* --- registry ----------------------------------------------------------- *)
+
+(* A large family: samples are found by label set whatever the label
+   order, dumps list them in registration order, and reset zeroes them
+   without forgetting any. *)
+let registry_large_family () =
+  Metrics.reset ();
+  let name = "observe_registry_probe_total" in
+  let n = 5_000 in
+  let labels i = [ ("slot", string_of_int i); ("kind", "probe") ] in
+  let cs =
+    Array.init n (fun i -> Metrics.counter ~help:"probe" name (labels i))
+  in
+  checkb "re-registering returns the same counter" true
+    (Array.for_all Fun.id
+       (Array.init n (fun i ->
+            Metrics.counter name (List.rev (labels i)) == cs.(i))));
+  Metrics.Counter.add cs.(n - 1) 7;
+  Alcotest.(check (option int)) "counter_value finds the last sample" (Some 7)
+    (Metrics.counter_value name (labels (n - 1)));
+  let slots () =
+    Metrics.to_prometheus_string ()
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           if String.starts_with ~prefix:(name ^ "{") line then
+             Scanf.sscanf line "%_s@{kind=\"probe\",slot=\"%d\"} %_d"
+               Option.some
+           else None)
+  in
+  Alcotest.(check (list int)) "dump keeps registration order"
+    (List.init n Fun.id) (slots ());
+  Metrics.reset ();
+  Alcotest.(check (option int)) "reset zeroes" (Some 0)
+    (Metrics.counter_value name (labels (n - 1)));
+  checki "reset keeps every sample" n (List.length (slots ()));
+  checkb "handles survive reset" true
+    (Metrics.counter name (labels 0) == cs.(0))
+
 (* --- span milestones: train-granular = per-cell ----------------------- *)
 
 (* With sampling on, sampled PDUs take the per-cell path (real marks) and
@@ -253,6 +291,11 @@ let () =
         ] );
       ( "sketch",
         [ Alcotest.test_case "quantile error bounds" `Quick sketch_bounds ] );
+      ( "registry",
+        [
+          Alcotest.test_case "large family: identity, order, reset" `Quick
+            registry_large_family;
+        ] );
       ( "spans",
         [
           Alcotest.test_case "train = per-cell with sampling" `Slow
